@@ -130,8 +130,8 @@ def test_two_stage_routing_ablation(benchmark):
 
 
 def test_batched_vs_sequential_search(benchmark):
-    """Lockstep batching: same bookkeeping, shared distance kernels."""
-    from repro.batch import batch_search
+    """Batched search: same results, one fused kernel call per batch."""
+    from repro.batch import search_batch
 
     dataset = get_dataset(DATASET)
 
@@ -141,7 +141,7 @@ def test_batched_vs_sequential_search(benchmark):
         sequential = index.batch_search(
             dataset.queries, dataset.ground_truth, k=10, ef=60
         )
-        batched = batch_search(index, dataset.queries, k=10, ef=60)
+        batched = search_batch(index, dataset.queries, k=10, ef=60)
         return sequential.qps, batched.qps
 
     seq_qps, batch_qps = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -6,19 +6,19 @@ wall-clock side as fast as the machine allows without touching the
 algorithm.  This module compiles a small C library implementing
 
 * ``sq_dists_to_rows``  — the expanded-form distance kernel,
-* ``best_first``        — Algorithm 1 over the frozen CSR layout,
-* ``best_first_batch``  — the same loop over a whole query block,
+* ``best_first``        — Algorithm 1 for one query.  One C entry point
+  serves every serial caller: exact or ADC scoring (uint8 PQ codes
+  through a per-query table), optional NDC/hop caps, and — for the
+  construction path — a record of every evaluated ``(vertex,
+  distance)`` pair (the *visited set* C2 candidate acquisition pools)
+  over either the frozen CSR layout or a padded adjacency matrix that
+  is still being mutated (Vamana's evolving graph),
 * ``best_first_batch_mt`` — the GIL-free scaling path: a pthread worker
-  pool answers a whole batch in one ctypes call (the GIL is released
-  exactly once), each thread owning its own epoch-visited array and
-  heap scratch allocated in C, with every query writing to a fixed
-  output slot so results are bit-identical to the serial kernel for
-  any thread count,
-* ``best_first_build``  — the construction-side variant: records every
-  evaluated ``(vertex, distance)`` pair (the *visited set* that C2
-  candidate acquisition pools) and optionally walks a padded adjacency
-  matrix instead of CSR, so it can search a graph that is still being
-  mutated (Vamana's evolving graph), and
+  pool answers a whole batch (exact or ADC) in one ctypes call (the
+  GIL is released exactly once), each thread owning its own
+  epoch-visited array and heap scratch allocated in C, with every
+  query writing to a fixed output slot so results are bit-identical to
+  the serial kernel for any thread count, and
 * ``select_rng``        — the RNG-heuristic selection scan over a
   NumPy-computed cross-distance matrix,
 
@@ -56,8 +56,6 @@ __all__ = [
     "LIB",
     "sq_dists_to_rows",
     "best_first",
-    "best_first_adc",
-    "best_first_batch",
     "best_first_batch_mt",
     "best_first_batch_adc_mt",
     "best_first_build",
@@ -85,7 +83,7 @@ static double mono_now(void) {
 #define DEADLINE_CHECK_GRAIN 16
 
 /* Deterministic unrolled dot product: four partial sums combined as
-   (s0+s1)+(s2+s3).  Both entry points below use this same routine, so
+   (s0+s1)+(s2+s3).  Every entry point below uses this same routine, so
    every distance the library ever reports is computed identically. */
 static double dot_row(const float *x, const double *q, int64_t d) {
     double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
@@ -212,7 +210,8 @@ static void res_push(double *hd, int32_t *hi, int64_t *len,
    best-k; stats[3] records which cap fired (0 none, 1 ndc, 2 hops,
    3 deadline) so Python can attach a BudgetReport. */
 
-/* The shared search core.  ``counts`` selects the adjacency layout:
+/* The one search core, exported as the serial entry point and run by
+   every worker of the MT pool.  ``counts`` selects the adjacency layout:
    NULL walks the frozen CSR arrays (indptr[u]..indptr[u+1]); non-NULL
    walks a padded matrix flattened into ``indices`` where row u starts
    at indptr[u] and holds counts[u] live entries — that is how the
@@ -227,8 +226,9 @@ static void res_push(double *hd, int32_t *hi, int64_t *len,
    per-query float32 table and ``data``/``q``/``norms`` may be NULL —
    the float32 tier is never dereferenced.  Everything else (heaps,
    epochs, budget caps, tie-breaking) is shared, so the compressed walk
-   inherits the exact walk's determinism guarantees. */
-static int64_t bf_core(
+   inherits the exact walk's determinism guarantees (stats[0] then
+   counts ADC lookups, not true distance computations). */
+int64_t best_first(
     const float *data, int64_t d, const double *norms,
     const int32_t *indptr, const int32_t *indices, const int32_t *counts,
     const unsigned char *codes, const float *lut, int64_t pqm, int64_t pqk,
@@ -314,68 +314,6 @@ static int64_t bf_core(
     return rlen;
 }
 
-int64_t best_first(
-    const float *data, int64_t n, int64_t d, const double *norms,
-    const int32_t *indptr, const int32_t *indices,
-    const double *q, double qsq,
-    const int64_t *seeds, int64_t nseeds, int64_t ef,
-    int64_t max_ndc, int64_t max_hops,
-    int64_t *visit_gen, int64_t gen,
-    double *cd, int32_t *ci,
-    double *rd, int32_t *ri,
-    int32_t *out_ids, double *out_sq,
-    int64_t *stats)
-{
-    (void)n;
-    return bf_core(data, d, norms, indptr, indices, 0, 0, 0, 0, 0,
-                   q, qsq, seeds, nseeds, ef, max_ndc, max_hops, 0.0,
-                   visit_gen, gen, cd, ci, rd, ri, out_ids, out_sq,
-                   0, 0, stats);
-}
-
-/* Compressed traversal entry point: scores every vertex from its uint8
-   PQ code row via the per-query float32 LUT (pqm subspaces × pqk
-   centroids).  No float32 data row is ever read; stats[0] therefore
-   counts ADC lookups, not true distance computations. */
-int64_t best_first_adc(
-    const unsigned char *codes, int64_t n, int64_t pqm, int64_t pqk,
-    const float *lut,
-    const int32_t *indptr, const int32_t *indices,
-    const int64_t *seeds, int64_t nseeds, int64_t ef,
-    int64_t max_ndc, int64_t max_hops,
-    int64_t *visit_gen, int64_t gen,
-    double *cd, int32_t *ci,
-    double *rd, int32_t *ri,
-    int32_t *out_ids, double *out_sq,
-    int64_t *stats)
-{
-    (void)n;
-    return bf_core(0, 0, 0, indptr, indices, 0, codes, lut, pqm, pqk,
-                   0, 0.0, seeds, nseeds, ef, max_ndc, max_hops, 0.0,
-                   visit_gen, gen, cd, ci, rd, ri, out_ids, out_sq,
-                   0, 0, stats);
-}
-
-/* Construction-side entry point: unbudgeted, visited-recording, and
-   layout-flexible via ``counts`` (see bf_core). */
-int64_t best_first_build(
-    const float *data, int64_t d, const double *norms,
-    const int32_t *indptr, const int32_t *indices, const int32_t *counts,
-    const double *q, double qsq,
-    const int64_t *seeds, int64_t nseeds, int64_t ef,
-    int64_t *visit_gen, int64_t gen,
-    double *cd, int32_t *ci,
-    double *rd, int32_t *ri,
-    int32_t *out_ids, double *out_sq,
-    int32_t *vis_ids, double *vis_sq,
-    int64_t *stats)
-{
-    return bf_core(data, d, norms, indptr, indices, counts, 0, 0, 0, 0,
-                   q, qsq, seeds, nseeds, ef, -1, -1, 0.0,
-                   visit_gen, gen, cd, ci, rd, ri, out_ids, out_sq,
-                   vis_ids, vis_sq, stats);
-}
-
 /* -- RNG-heuristic selection scan (C3) -------------------------------
    ``cross`` is the float32 pairwise distance matrix NumPy computed for
    the sorted candidate list; candidate pos is accepted iff no already
@@ -403,27 +341,6 @@ int64_t select_rng(
     return nsel;
 }
 
-void best_first_batch(
-    const float *data, int64_t n, int64_t d, const double *norms,
-    const int32_t *indptr, const int32_t *indices,
-    const double *queries, const double *qsqs, int64_t nq,
-    const int64_t *seed_indptr, const int64_t *seeds, int64_t ef,
-    const int64_t *max_ndcs, int64_t max_hops,
-    int64_t *visit_gen, int64_t gen,
-    double *cd, int32_t *ci, double *rd, int32_t *ri,
-    int32_t *out_ids, double *out_sq, int64_t *out_len,
-    int64_t *stats)
-{
-    for (int64_t i = 0; i < nq; i++) {
-        out_len[i] = best_first(
-            data, n, d, norms, indptr, indices,
-            queries + i * d, qsqs[i],
-            seeds + seed_indptr[i], seed_indptr[i + 1] - seed_indptr[i],
-            ef, max_ndcs[i], max_hops, visit_gen, gen + i, cd, ci, rd, ri,
-            out_ids + i * ef, out_sq + i * ef, stats + i * 4);
-    }
-}
-
 /* -- multi-threaded batch (the GIL-free scaling path) ----------------
    A pthread worker pool pulls grains of queries off an atomic cursor.
    Every per-query state (epoch array, both heaps) is thread-private
@@ -431,7 +348,10 @@ void best_first_batch(
    output slot (out_ids/out_sq/out_len/stats row i), so the results
    are bit-identical to the serial kernel regardless of thread count
    or scheduling order.  Per-thread wall-clock is recorded so Python
-   can report worker utilization without re-entering the loop. */
+   can report worker utilization without re-entering the loop.  With
+   ``codes`` non-NULL the batch is compressed: query i scores vertices
+   through its own LUT slice (luts + i*pqm*pqk) against the shared
+   uint8 code matrix and the float32 tier is never touched. */
 
 #define MT_GRAIN 8
 
@@ -484,7 +404,7 @@ static void *mt_worker(void *argp) {
                    whenever a thread happens to dequeue it */
                 double dl = (job->deadlines && job->deadlines[i] > 0.0)
                     ? job->deadline_base + job->deadlines[i] : 0.0;
-                job->out_len[i] = bf_core(
+                job->out_len[i] = best_first(
                     job->data, job->d, job->norms,
                     job->indptr, job->indices, 0,
                     job->codes,
@@ -506,39 +426,12 @@ static void *mt_worker(void *argp) {
     return 0;
 }
 
-/* Shared pool runner.  Returns 0 on success; non-zero means scratch
-   allocation or thread creation failed and the caller must fall back
-   (outputs undefined). */
-static int64_t mt_run(mt_job *job, int64_t n_threads) {
-    if (n_threads > job->nq) n_threads = job->nq;
-    if (n_threads < 1) n_threads = 1;
-    for (int64_t t = 0; t < n_threads; t++) job->thread_busy[t] = 0.0;
-
-    if (n_threads == 1) {
-        mt_arg arg; arg.job = job; arg.tid = 0;
-        mt_worker(&arg);
-        return job->failed ? 1 : 0;
-    }
-
-    pthread_t *tids = (pthread_t *)malloc((size_t)n_threads * sizeof(pthread_t));
-    mt_arg *args = (mt_arg *)malloc((size_t)n_threads * sizeof(mt_arg));
-    if (!tids || !args) { free(tids); free(args); return 1; }
-    int64_t created = 0;
-    for (; created < n_threads; created++) {
-        args[created].job = job; args[created].tid = created;
-        if (pthread_create(&tids[created], 0, mt_worker, &args[created]) != 0) {
-            job->failed = 1;
-            break;
-        }
-    }
-    for (int64_t t = 0; t < created; t++) pthread_join(tids[t], 0);
-    free(tids); free(args);
-    return job->failed ? 1 : 0;
-}
-
+/* Returns 0 on success; non-zero means scratch allocation or thread
+   creation failed and the caller must fall back (outputs undefined). */
 int64_t best_first_batch_mt(
     const float *data, int64_t n, int64_t d, const double *norms,
     const int32_t *indptr, const int32_t *indices,
+    const unsigned char *codes, const float *luts, int64_t pqm, int64_t pqk,
     const double *queries, const double *qsqs, int64_t nq,
     const int64_t *seed_indptr, const int64_t *seeds, int64_t ef,
     const int64_t *max_ndcs, const int64_t *max_hops,
@@ -549,7 +442,7 @@ int64_t best_first_batch_mt(
     mt_job job;
     job.data = data; job.n = n; job.d = d; job.norms = norms;
     job.indptr = indptr; job.indices = indices;
-    job.codes = 0; job.luts = 0; job.pqm = 0; job.pqk = 0;
+    job.codes = codes; job.luts = luts; job.pqm = pqm; job.pqk = pqk;
     job.queries = queries; job.qsqs = qsqs; job.nq = nq;
     job.seed_indptr = seed_indptr; job.seeds = seeds; job.ef = ef;
     job.max_ndcs = max_ndcs; job.max_hops = max_hops;
@@ -557,35 +450,30 @@ int64_t best_first_batch_mt(
     job.out_ids = out_ids; job.out_sq = out_sq; job.out_len = out_len;
     job.stats = stats; job.thread_busy = thread_busy;
     job.next = 0; job.failed = 0;
-    return mt_run(&job, n_threads);
-}
+    if (n_threads > nq) n_threads = nq;
+    if (n_threads < 1) n_threads = 1;
+    for (int64_t t = 0; t < n_threads; t++) thread_busy[t] = 0.0;
 
-/* Compressed batch on the same pool: query i scores vertices through
-   its own LUT slice (luts + i*pqm*pqk) against the shared uint8 code
-   matrix; the float32 tier is never touched.  Fixed output slots keep
-   the bit-identical-at-any-thread-count guarantee. */
-int64_t best_first_batch_adc_mt(
-    const unsigned char *codes, int64_t n, int64_t pqm, int64_t pqk,
-    const float *luts,
-    const int32_t *indptr, const int32_t *indices, int64_t nq,
-    const int64_t *seed_indptr, const int64_t *seeds, int64_t ef,
-    const int64_t *max_ndcs, const int64_t *max_hops,
-    const double *deadlines,
-    int32_t *out_ids, double *out_sq, int64_t *out_len,
-    int64_t *stats, int64_t n_threads, double *thread_busy)
-{
-    mt_job job;
-    job.data = 0; job.n = n; job.d = 0; job.norms = 0;
-    job.indptr = indptr; job.indices = indices;
-    job.codes = codes; job.luts = luts; job.pqm = pqm; job.pqk = pqk;
-    job.queries = 0; job.qsqs = 0; job.nq = nq;
-    job.seed_indptr = seed_indptr; job.seeds = seeds; job.ef = ef;
-    job.max_ndcs = max_ndcs; job.max_hops = max_hops;
-    job.deadlines = deadlines; job.deadline_base = mono_now();
-    job.out_ids = out_ids; job.out_sq = out_sq; job.out_len = out_len;
-    job.stats = stats; job.thread_busy = thread_busy;
-    job.next = 0; job.failed = 0;
-    return mt_run(&job, n_threads);
+    if (n_threads == 1) {
+        mt_arg arg; arg.job = &job; arg.tid = 0;
+        mt_worker(&arg);
+        return job.failed ? 1 : 0;
+    }
+
+    pthread_t *tids = (pthread_t *)malloc((size_t)n_threads * sizeof(pthread_t));
+    mt_arg *args = (mt_arg *)malloc((size_t)n_threads * sizeof(mt_arg));
+    if (!tids || !args) { free(tids); free(args); return 1; }
+    int64_t created = 0;
+    for (; created < n_threads; created++) {
+        args[created].job = &job; args[created].tid = created;
+        if (pthread_create(&tids[created], 0, mt_worker, &args[created]) != 0) {
+            job.failed = 1;
+            break;
+        }
+    }
+    for (int64_t t = 0; t < created; t++) pthread_join(tids[t], 0);
+    free(tids); free(args);
+    return job.failed ? 1 : 0;
 }
 """
 
@@ -595,6 +483,18 @@ _PF64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _PI32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
 _PI64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _PU8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
+
+
+def _nullable(ptr):
+    """``ptr`` that also accepts ``None``, passed to C as NULL."""
+    def from_param(cls, obj):
+        return None if obj is None else ptr.from_param(obj)
+
+    return type(f"Nullable{ptr.__name__}", (ptr,),
+                {"from_param": classmethod(from_param)})
+
+
+_NF32, _NF64, _NI32, _NU8 = map(_nullable, (_PF32, _PF64, _PI32, _PU8))
 
 #: why the native kernel is unavailable (None when LIB loaded, or the
 #: deliberate-opt-out/compile/load failure reason otherwise)
@@ -668,42 +568,24 @@ def _build_library() -> ctypes.CDLL | None:
         _PF32, _I64, _I64, _PF64, ctypes.c_double, _PF64, _PF64,
     ]
     lib.sq_dists_to_rows.restype = None
+    # the C walk's full parameter list: data, d, norms, indptr, indices, counts,
+    # codes, lut, pqm, pqk, q, qsq, seeds, nseeds, ef, max_ndc,
+    # max_hops, deadline, visit_gen, gen, cd, ci, rd, ri, out_ids,
+    # out_sq, vis_ids, vis_sq, stats
     lib.best_first.argtypes = [
-        _PF32, _I64, _I64, _PF64, _PI32, _PI32, _PF64, ctypes.c_double,
-        _PI64, _I64, _I64, _I64, _I64, _PI64, _I64,
-        _PF64, _PI32, _PF64, _PI32, _PI32, _PF64, _PI64,
+        _NF32, _I64, _NF64, _PI32, _PI32, _NI32,
+        _NU8, _NF32, _I64, _I64, _NF64, ctypes.c_double,
+        _PI64, _I64, _I64, _I64, _I64, ctypes.c_double, _PI64, _I64,
+        _PF64, _PI32, _PF64, _PI32, _PI32, _PF64, _NI32, _NF64, _PI64,
     ]
     lib.best_first.restype = _I64
-    lib.best_first_batch.argtypes = [
-        _PF32, _I64, _I64, _PF64, _PI32, _PI32, _PF64, _PF64, _I64,
-        _PI64, _PI64, _I64, _PI64, _I64, _PI64, _I64,
-        _PF64, _PI32, _PF64, _PI32, _PI32, _PF64, _PI64, _PI64,
-    ]
-    lib.best_first_batch.restype = None
     lib.best_first_batch_mt.argtypes = [
-        _PF32, _I64, _I64, _PF64, _PI32, _PI32, _PF64, _PF64, _I64,
+        _NF32, _I64, _I64, _NF64, _PI32, _PI32,
+        _NU8, _NF32, _I64, _I64, _NF64, _NF64, _I64,
         _PI64, _PI64, _I64, _PI64, _PI64, _PF64,
         _PI32, _PF64, _PI64, _PI64, _I64, _PF64,
     ]
     lib.best_first_batch_mt.restype = _I64
-    lib.best_first_adc.argtypes = [
-        _PU8, _I64, _I64, _I64, _PF32, _PI32, _PI32,
-        _PI64, _I64, _I64, _I64, _I64, _PI64, _I64,
-        _PF64, _PI32, _PF64, _PI32, _PI32, _PF64, _PI64,
-    ]
-    lib.best_first_adc.restype = _I64
-    lib.best_first_batch_adc_mt.argtypes = [
-        _PU8, _I64, _I64, _I64, _PF32, _PI32, _PI32, _I64,
-        _PI64, _PI64, _I64, _PI64, _PI64, _PF64,
-        _PI32, _PF64, _PI64, _PI64, _I64, _PF64,
-    ]
-    lib.best_first_batch_adc_mt.restype = _I64
-    lib.best_first_build.argtypes = [
-        _PF32, _I64, _PF64, _PI32, _PI32, ctypes.c_void_p,
-        _PF64, ctypes.c_double, _PI64, _I64, _I64, _PI64, _I64,
-        _PF64, _PI32, _PF64, _PI32, _PI32, _PF64, _PI32, _PF64, _PI64,
-    ]
-    lib.best_first_build.restype = _I64
     lib.select_rng.argtypes = [
         _PF32, _I64, _I64, _PF64, _I64, ctypes.c_double, _PI64,
     ]
@@ -775,27 +657,53 @@ def sq_dists_to_rows(
     return out
 
 
+def _walk(ctx, indptr, indices, counts, query64, query_sq, seeds, ef,
+          max_ndc=-1, max_hops=-1, vis_ids=None, vis_sq=None):
+    """One serial C walk on ``ctx``'s scratch at its current generation.
+
+    Scores exactly against ``ctx.data``, or — when ``ctx.compressed``
+    is set — from the tier's uint8 codes through ``ctx.lut`` without
+    reading a float32 row.  Returns ``(rlen, out_ids, out_sq, stats)``.
+    """
+    cd, ci, rd, ri = ctx.native_scratch(ef)
+    out_ids = np.empty(ef, dtype=np.int32)
+    out_sq = np.empty(ef, dtype=np.float64)
+    stats = np.empty(4, dtype=np.int64)
+    tier = ctx.compressed
+    if tier is None:
+        data, d, norms = ctx.data, ctx.data.shape[1], ctx.norms_sq
+        codes = lut = None
+        pqm = pqk = 0
+    else:
+        data, d, norms, query64 = None, 0, None, None
+        codes, lut = tier.codes, ctx.lut
+        pqm, pqk = codes.shape[1], lut.shape[1]
+    rlen = LIB.best_first(
+        data, d, norms, indptr, indices, counts, codes, lut, pqm, pqk,
+        query64, query_sq, seeds, len(seeds), ef, max_ndc, max_hops, 0.0,
+        ctx.visit_gen, ctx.generation, cd, ci, rd, ri, out_ids, out_sq,
+        vis_ids, vis_sq, stats,
+    )
+    return rlen, out_ids, out_sq, stats
+
+
 def best_first(ctx, graph, query64, query_sq, seeds, ef,
                max_ndc=-1, max_hops=-1):
     """Run the whole best-first search in C against a frozen CSR graph.
 
     ``ctx`` is a :class:`repro.components.context.SearchContext` whose
-    scratch buffers (epoch array, heaps) this call borrows.  Negative
-    ``max_ndc`` / ``max_hops`` mean unlimited (QueryBudget caps).
-    Returns ``(ids, sq_dists, ndc, hops, visited, budget_fired)`` where
-    ``budget_fired`` is ``None``, ``"ndc"`` or ``"hops"``.
+    scratch buffers (epoch array, heaps) this call borrows; with
+    ``ctx.compressed`` set the walk scores ADC surrogates from the
+    tier's codes and ``ctx.lut``, and the NDC stat counts table
+    lookups.  Negative ``max_ndc`` / ``max_hops`` mean unlimited
+    (QueryBudget caps).  Returns ``(ids, sq_dists, ndc, hops, visited,
+    budget_fired)`` where ``budget_fired`` is ``None``, ``"ndc"`` or
+    ``"hops"``.
     """
     indptr, indices = graph.csr()
-    cd, ci, rd, ri = ctx.native_scratch(ef)
-    out_ids = np.empty(ef, dtype=np.int32)
-    out_sq = np.empty(ef, dtype=np.float64)
-    stats = np.empty(4, dtype=np.int64)
-    rlen = LIB.best_first(
-        ctx.data, len(ctx.data), ctx.data.shape[1], ctx.norms_sq,
-        indptr, indices, query64, query_sq,
-        seeds, len(seeds), ef, max_ndc, max_hops,
-        ctx.visit_gen, ctx.generation,
-        cd, ci, rd, ri, out_ids, out_sq, stats,
+    rlen, out_ids, out_sq, stats = _walk(
+        ctx, indptr, indices, None, query64, query_sq, seeds, ef,
+        max_ndc, max_hops,
     )
     return (
         out_ids[:rlen].astype(np.int64),
@@ -803,168 +711,6 @@ def best_first(ctx, graph, query64, query_sq, seeds, ef,
         int(stats[0]), int(stats[1]), int(stats[2]),
         _FIRED_LABELS[int(stats[3])],
     )
-
-
-_FIRED_LABELS = {0: None, 1: "ndc", 2: "hops", 3: "deadline"}
-
-
-def _per_query_caps(nq, max_ndcs, max_hops, deadlines):
-    """Normalize the MT kernels' per-query budget arrays.
-
-    ``max_ndcs``/``max_hops`` accept ``None`` (unlimited), a scalar
-    applied to every query, or an int64 array; ``deadlines`` accepts
-    ``None`` or a float64 array of per-query wall-clock allowances in
-    seconds measured from kernel entry (``<= 0`` = none).
-    """
-    if max_ndcs is None:
-        max_ndcs = np.full(nq, -1, dtype=np.int64)
-    else:
-        max_ndcs = np.ascontiguousarray(max_ndcs, dtype=np.int64)
-    if max_hops is None:
-        max_hops = np.full(nq, -1, dtype=np.int64)
-    elif np.isscalar(max_hops):
-        max_hops = np.full(nq, int(max_hops), dtype=np.int64)
-    else:
-        max_hops = np.ascontiguousarray(max_hops, dtype=np.int64)
-    if deadlines is None:
-        deadlines = np.zeros(nq, dtype=np.float64)
-    else:
-        deadlines = np.ascontiguousarray(deadlines, dtype=np.float64)
-    return max_ndcs, max_hops, deadlines
-
-
-def best_first_adc(ctx, graph, codes, lut, seeds, ef,
-                   max_ndc=-1, max_hops=-1):
-    """Compressed best-first search in C: ADC scoring from uint8 codes.
-
-    ``codes`` is the tier's contiguous ``(n, M)`` uint8 matrix and
-    ``lut`` this query's ``(M, K)`` float32 table; no float32 data row
-    is read.  Borrows ``ctx``'s scratch like :func:`best_first`.
-    Returns ``(ids, adc_sq, lookups, hops, visited, budget_fired)`` —
-    the first stat counts ADC lookups, not true NDC.
-    """
-    indptr, indices = graph.csr()
-    cd, ci, rd, ri = ctx.native_scratch(ef)
-    out_ids = np.empty(ef, dtype=np.int32)
-    out_sq = np.empty(ef, dtype=np.float64)
-    stats = np.empty(4, dtype=np.int64)
-    rlen = LIB.best_first_adc(
-        codes, len(codes), codes.shape[1], lut.shape[1], lut,
-        indptr, indices, seeds, len(seeds), ef, max_ndc, max_hops,
-        ctx.visit_gen, ctx.generation,
-        cd, ci, rd, ri, out_ids, out_sq, stats,
-    )
-    return (
-        out_ids[:rlen].astype(np.int64),
-        out_sq[:rlen],
-        int(stats[0]), int(stats[1]), int(stats[2]),
-        _FIRED_LABELS[int(stats[3])],
-    )
-
-
-def best_first_batch_adc_mt(codes, luts, graph, nq, seed_indptr, seeds,
-                            ef, n_threads, max_ndcs=None, max_hops=-1,
-                            deadlines=None):
-    """Compressed whole-batch search on the pthread pool.
-
-    ``luts`` is the stacked ``(nq, M, K)`` float32 table block (one GEMM
-    per subspace built it for the whole batch); query ``i`` walks the
-    shared uint8 ``codes`` through its own slice.  Same fixed-slot
-    output contract as :func:`best_first_batch_mt`, so results are
-    bit-identical for any thread count — and, because the Python
-    fallback gathers from the same float32 tables in the same subspace
-    order, bit-identical to the pure-NumPy path too.  Raises
-    :class:`MemoryError` on scratch/thread failure.
-    """
-    indptr, indices = graph.csr()
-    n_threads = max(1, min(int(n_threads), max(nq, 1)))
-    max_ndcs, max_hops, deadlines = _per_query_caps(
-        nq, max_ndcs, max_hops, deadlines
-    )
-    out_ids = np.empty((nq, ef), dtype=np.int32)
-    out_sq = np.empty((nq, ef), dtype=np.float64)
-    out_len = np.empty(nq, dtype=np.int64)
-    stats = np.empty((nq, 4), dtype=np.int64)
-    thread_busy = np.zeros(n_threads, dtype=np.float64)
-    rc = LIB.best_first_batch_adc_mt(
-        codes, len(codes), codes.shape[1], luts.shape[2], luts,
-        indptr, indices, nq, seed_indptr, seeds, ef,
-        max_ndcs, max_hops, deadlines,
-        out_ids, out_sq, out_len, stats, n_threads, thread_busy,
-    )
-    if rc != 0:
-        raise MemoryError(
-            "best_first_batch_adc_mt could not allocate per-thread scratch"
-        )
-    return out_ids, out_sq, out_len, stats, thread_busy
-
-
-def best_first_batch(ctx, graph, queries64, qsqs, seed_indptr, seeds, ef,
-                     max_ndcs=None, max_hops=-1):
-    """Batch counterpart of :func:`best_first`: one C call per chunk.
-
-    Consumes ``len(queries64)`` visited generations from ``ctx`` and
-    returns ``(ids, sq, lengths, stats)`` with rows padded to ``ef``;
-    ``stats`` columns are {ndc, hops, visited, budget_fired_code}.
-    ``max_ndcs`` is a per-query int64 NDC cap array (-1 = unlimited).
-    """
-    indptr, indices = graph.csr()
-    cd, ci, rd, ri = ctx.native_scratch(ef)
-    nq = len(queries64)
-    if max_ndcs is None:
-        max_ndcs = np.full(nq, -1, dtype=np.int64)
-    out_ids = np.empty((nq, ef), dtype=np.int32)
-    out_sq = np.empty((nq, ef), dtype=np.float64)
-    out_len = np.empty(nq, dtype=np.int64)
-    stats = np.empty((nq, 4), dtype=np.int64)
-    LIB.best_first_batch(
-        ctx.data, len(ctx.data), ctx.data.shape[1], ctx.norms_sq,
-        indptr, indices, queries64, qsqs, nq,
-        seed_indptr, seeds, ef, max_ndcs, max_hops,
-        ctx.visit_gen, ctx.generation + 1,
-        cd, ci, rd, ri, out_ids, out_sq, out_len, stats,
-    )
-    ctx.generation += nq
-    return out_ids, out_sq, out_len, stats
-
-
-def best_first_batch_mt(data, norms_sq, graph, queries64, qsqs,
-                        seed_indptr, seeds, ef, n_threads,
-                        max_ndcs=None, max_hops=-1, deadlines=None):
-    """Whole-batch search on a pthread pool: one GIL-released C call.
-
-    Unlike :func:`best_first_batch` this needs no
-    :class:`~repro.components.context.SearchContext` — every thread
-    allocates its own epoch array and heaps in C and every query writes
-    a fixed output slot, so ids/dists/stats are bit-identical to the
-    serial kernel for any ``n_threads``.  Returns ``(ids, sq, lengths,
-    stats, thread_busy)``; ``thread_busy`` holds per-thread busy
-    seconds for utilization accounting.  Raises :class:`MemoryError`
-    when the kernel could not allocate scratch or spawn threads —
-    callers fall back to the chunked Python-orchestrated engine.
-    """
-    indptr, indices = graph.csr()
-    nq = len(queries64)
-    n_threads = max(1, min(int(n_threads), max(nq, 1)))
-    max_ndcs, max_hops, deadlines = _per_query_caps(
-        nq, max_ndcs, max_hops, deadlines
-    )
-    out_ids = np.empty((nq, ef), dtype=np.int32)
-    out_sq = np.empty((nq, ef), dtype=np.float64)
-    out_len = np.empty(nq, dtype=np.int64)
-    stats = np.empty((nq, 4), dtype=np.int64)
-    thread_busy = np.zeros(n_threads, dtype=np.float64)
-    rc = LIB.best_first_batch_mt(
-        data, len(data), data.shape[1], norms_sq,
-        indptr, indices, queries64, qsqs, nq,
-        seed_indptr, seeds, ef, max_ndcs, max_hops, deadlines,
-        out_ids, out_sq, out_len, stats, n_threads, thread_busy,
-    )
-    if rc != 0:
-        raise MemoryError(
-            "best_first_batch_mt could not allocate per-thread scratch"
-        )
-    return out_ids, out_sq, out_len, stats, thread_busy
 
 
 def best_first_build(ctx, indptr, indices, counts, query64, query_sq,
@@ -980,22 +726,101 @@ def best_first_build(ctx, indptr, indices, counts, query64, query_sq,
     evaluation order; callers sort by ``(sq, id)`` to match the Python
     frontier's output.
     """
-    cd, ci, rd, ri = ctx.native_scratch(ef)
     vis_ids, vis_sq = ctx.visited_scratch()
-    out_ids = np.empty(ef, dtype=np.int32)
-    out_sq = np.empty(ef, dtype=np.float64)
-    stats = np.empty(4, dtype=np.int64)
     ctx.generation += 1
-    LIB.best_first_build(
-        ctx.data, ctx.data.shape[1], ctx.norms_sq,
-        indptr, indices,
-        counts.ctypes.data if counts is not None else None,
-        query64, query_sq, seeds, len(seeds), ef,
-        ctx.visit_gen, ctx.generation,
-        cd, ci, rd, ri, out_ids, out_sq, vis_ids, vis_sq, stats,
+    _, _, _, stats = _walk(
+        ctx, indptr, indices, counts, query64, query_sq, seeds, ef,
+        vis_ids=vis_ids, vis_sq=vis_sq,
     )
     nvis = int(stats[2])
     return vis_ids[:nvis], vis_sq[:nvis], int(stats[0])
+
+
+_FIRED_LABELS = {0: None, 1: "ndc", 2: "hops", 3: "deadline"}
+
+
+def _batch_mt(graph, nq, seed_indptr, seeds, ef, n_threads, max_ndcs,
+              max_hops, deadlines, data=None, norms=None, queries=None,
+              qsqs=None, codes=None, luts=None):
+    """Whole-batch search on the pthread pool: one GIL-released C call.
+
+    ``max_ndcs``/``max_hops``/``deadlines`` each accept ``None``
+    (unlimited), a scalar applied to every query, or a per-query array;
+    a deadline is a wall-clock allowance in seconds measured from kernel
+    entry (``<= 0`` = none), a cap ``-1`` = unlimited.
+    """
+    indptr, indices = graph.csr()
+    n_threads = max(1, min(int(n_threads), max(nq, 1)))
+
+    def per_query(cap, unlimited, dtype):
+        if cap is None or np.isscalar(cap):
+            return np.full(nq, unlimited if cap is None else cap, dtype=dtype)
+        return np.ascontiguousarray(cap, dtype=dtype)
+
+    max_ndcs = per_query(max_ndcs, -1, np.int64)
+    max_hops = per_query(max_hops, -1, np.int64)
+    deadlines = per_query(deadlines, 0.0, np.float64)
+    out_ids = np.empty((nq, ef), dtype=np.int32)
+    out_sq = np.empty((nq, ef), dtype=np.float64)
+    out_len = np.empty(nq, dtype=np.int64)
+    stats = np.empty((nq, 4), dtype=np.int64)
+    thread_busy = np.zeros(n_threads, dtype=np.float64)
+    if codes is None:
+        n, d, pqm, pqk = len(data), data.shape[1], 0, 0
+    else:
+        n, d, pqm, pqk = len(codes), 0, codes.shape[1], luts.shape[2]
+    rc = LIB.best_first_batch_mt(
+        data, n, d, norms, indptr, indices, codes, luts, pqm, pqk,
+        queries, qsqs, nq, seed_indptr, seeds, ef,
+        max_ndcs, max_hops, deadlines,
+        out_ids, out_sq, out_len, stats, n_threads, thread_busy,
+    )
+    if rc != 0:
+        raise MemoryError(
+            "best_first_batch_mt could not allocate per-thread scratch"
+        )
+    return out_ids, out_sq, out_len, stats, thread_busy
+
+
+def best_first_batch_mt(data, norms_sq, graph, queries64, qsqs,
+                        seed_indptr, seeds, ef, n_threads,
+                        max_ndcs=None, max_hops=-1, deadlines=None):
+    """Exact whole-batch search on the pthread pool.
+
+    Needs no :class:`~repro.components.context.SearchContext` — every
+    thread allocates its own epoch array and heaps in C and every query
+    writes a fixed output slot, so ids/dists/stats are bit-identical to
+    the serial kernel for any ``n_threads``.  Returns ``(ids, sq,
+    lengths, stats, thread_busy)``; ``stats`` columns are {ndc, hops,
+    visited, budget_fired_code} and ``thread_busy`` holds per-thread
+    busy seconds.  Raises :class:`MemoryError` when the kernel could not
+    allocate scratch or spawn threads — callers fall back to the
+    per-query path.
+    """
+    return _batch_mt(
+        graph, len(queries64), seed_indptr, seeds, ef, n_threads,
+        max_ndcs, max_hops, deadlines,
+        data=data, norms=norms_sq, queries=queries64, qsqs=qsqs,
+    )
+
+
+def best_first_batch_adc_mt(codes, luts, graph, nq, seed_indptr, seeds,
+                            ef, n_threads, max_ndcs=None, max_hops=-1,
+                            deadlines=None):
+    """Compressed whole-batch search on the pthread pool.
+
+    ``luts`` is the stacked ``(nq, M, K)`` float32 table block (one GEMM
+    per subspace built it for the whole batch); query ``i`` walks the
+    shared uint8 ``codes`` through its own slice.  Same output contract
+    as :func:`best_first_batch_mt` (the first stat counts ADC lookups),
+    so results are bit-identical for any thread count — and, because the
+    Python fallback gathers from the same float32 tables in the same
+    subspace order, bit-identical to the pure-NumPy path too.
+    """
+    return _batch_mt(
+        graph, nq, seed_indptr, seeds, ef, n_threads,
+        max_ndcs, max_hops, deadlines, codes=codes, luts=luts,
+    )
 
 
 def select_rng_scan(cross, cand_dists, max_degree, alpha=1.0):

@@ -25,7 +25,89 @@ from repro.distance import DistanceCounter
 from repro.graphs.graph import Graph
 from repro.resilience import InvalidQueryError, QueryBudget, validate_query
 
-__all__ = ["BuildReport", "BatchStats", "ConsolidationReport", "GraphANNS"]
+__all__ = [
+    "BuildReport", "BatchStats", "ConsolidationReport", "GraphANNS",
+    "check_batch", "finish_ids", "merge_topk",
+]
+
+
+def finish_ids(ids, dists, deleted, k, id_map):
+    """A finished walk's answer: tombstones dropped, the best ``k`` kept,
+    internal ids mapped to original ones.
+
+    ``deleted`` is the tombstone mask, or None when nothing is deleted;
+    ``id_map`` is the reorder map, or None for the identity.
+    """
+    if deleted is not None and len(ids):
+        keep = ~deleted[ids]
+        ids, dists = ids[keep], dists[keep]
+    ids, dists = ids[:k], dists[:k]
+    if id_map is not None and len(ids):
+        ids = id_map[ids]
+    return ids, dists
+
+
+def merge_topk(parts, k):
+    """The ``k`` best of several ``(ids, dists)`` result lists.
+
+    Several parts merge under a stable sort by distance, then id — no
+    arrival order can perturb it.  A single part passes through as it
+    is (capped at ``k``), so a one-shard or one-tier answer stays
+    bit-identical to the plain search.
+    """
+    if not parts:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    if len(parts) == 1:
+        ids, dists = parts[0]
+        return ids[:k], dists[:k]
+    ids = np.concatenate([part[0] for part in parts])
+    dists = np.concatenate([part[1] for part in parts])
+    order = np.lexsort((ids, dists))[:k]
+    return ids[order], dists[order]
+
+
+def check_batch(queries, dim, budget):
+    """Validate a query batch and normalise its budget.
+
+    A batch that is not numeric, not 2-D or not ``dim``-wide raises,
+    since no per-query result would mean anything; a row holding
+    NaN/Inf only gets its own error.  Returns ``(queries, budget,
+    errors, finite_rows)``: the batch as C-contiguous float32; the
+    budget as None, one :class:`QueryBudget`, or a per-query list (a
+    sequence of all ``None`` collapses to None); per-query error strings
+    (None for a healthy row); and the indexes of the healthy rows.
+    """
+    try:
+        queries = np.ascontiguousarray(queries, dtype=np.float32)
+    except (TypeError, ValueError) as exc:
+        raise InvalidQueryError(f"query batch is not numeric: {exc}") from None
+    if queries.ndim != 2:
+        raise ValueError(f"queries must be 2-D, got shape {queries.shape}")
+    if queries.shape[1] != dim:
+        raise InvalidQueryError(
+            f"dimension mismatch: index is {dim}-d, "
+            f"queries are {queries.shape[1]}-d"
+        )
+    if budget is not None and not isinstance(budget, QueryBudget):
+        budget = list(budget)
+        if len(budget) != len(queries):
+            raise ValueError(
+                f"budget sequence has {len(budget)} entries for "
+                f"{len(queries)} queries"
+            )
+        for entry in budget:
+            if entry is not None and not isinstance(entry, QueryBudget):
+                raise TypeError(
+                    f"budget entries must be QueryBudget or None, "
+                    f"got {type(entry).__name__}"
+                )
+        if all(entry is None for entry in budget):
+            budget = None
+    finite = np.isfinite(queries).all(axis=1)
+    errors: list = [None] * len(queries)
+    for i in np.flatnonzero(~finite):
+        errors[i] = "query contains non-finite values (NaN/Inf)"
+    return queries, budget, errors, np.flatnonzero(finite)
 
 
 @dataclass
@@ -270,13 +352,7 @@ class GraphANNS:
         vector = self._validate_insert(vector)
         with self._update_lock:
             self._drop_compressed_on_insert()
-            delta = self._delta
-            if delta is None:
-                delta = self._delta = DeltaTier(
-                    self.data.shape[1], len(self.data),
-                    max_m=self.delta_max_m,
-                    ef_construction=self.delta_ef_construction,
-                )
+            delta = self._delta_tier()
             new_id = delta.insert(vector)
         self._observe_insert(delta)
         self._maybe_consolidate()
@@ -467,14 +543,17 @@ class GraphANNS:
         carry racing inserts across a snapshot swap)."""
         vector = self._validate_insert(vector)
         with self._update_lock:
-            delta = self._delta
-            if delta is None:
-                delta = self._delta = DeltaTier(
-                    self.data.shape[1], len(self.data),
-                    max_m=self.delta_max_m,
-                    ef_construction=self.delta_ef_construction,
-                )
-            return delta.insert(vector)
+            return self._delta_tier().insert(vector)
+
+    def _delta_tier(self) -> DeltaTier:
+        """The delta tier, created on first use (hold the update lock)."""
+        if self._delta is None:
+            self._delta = DeltaTier(
+                self.data.shape[1], len(self.data),
+                max_m=self.delta_max_m,
+                ef_construction=self.delta_ef_construction,
+            )
+        return self._delta
 
     def _original_order_data(self) -> np.ndarray:
         """Base vectors in original-id order (undoing any reorder())."""
@@ -621,6 +700,11 @@ class GraphANNS:
         if medoid is not None:
             return np.asarray([int(medoid)], dtype=np.int64)
         return None
+
+    def _live_tombstones(self) -> np.ndarray | None:
+        """The tombstone mask, or None while nothing is deleted."""
+        deleted = self._deleted
+        return deleted if deleted is not None and deleted.any() else None
 
     def _context(self) -> SearchContext:
         """The index's reusable search scratch, rebuilt if ``data`` moved."""
@@ -776,14 +860,9 @@ class GraphANNS:
             if trace is not None:
                 ctx.trace = None
         result.ndc = counter.count - start
-        if self._deleted is not None and self._deleted.any() and len(result.ids):
-            keep = ~self._deleted[result.ids]
-            result.ids = result.ids[keep]
-            result.dists = result.dists[keep]
-        result.ids = result.ids[:k]
-        result.dists = result.dists[:k]
-        if self._id_map is not None and len(result.ids):
-            result.ids = self._id_map[result.ids]
+        result.ids, result.dists = finish_ids(
+            result.ids, result.dists, self._live_tombstones(), k, self._id_map
+        )
         delta = self._delta
         if delta is not None and delta.n:
             self._merge_delta(result, query, k, ef, counter, budget, start)
@@ -856,11 +935,9 @@ class GraphANNS:
             if result.budget is None:
                 result.budget = dres.budget
         if len(dres.ids):
-            all_ids = np.concatenate([result.ids, dres.ids])
-            all_dists = np.concatenate([result.dists, dres.dists])
-            order = np.lexsort((all_ids, all_dists))[:k]
-            result.ids = all_ids[order]
-            result.dists = all_dists[order]
+            result.ids, result.dists = merge_topk(
+                [(result.ids, result.dists), (dres.ids, dres.dists)], k
+            )
         result.ndc = counter.count - start
 
     def _route(

@@ -1,40 +1,38 @@
-"""Batched query engines: lockstep kernels and the worker-pool API.
+"""Batched query engine: :func:`search_batch`.
 
 The survey evaluates single-threaded, one-query-at-a-time search; a
-production service batches.  This module offers two engines:
+production service batches.  For indexes that route with the default
+best-first search, :func:`search_batch` hands the *entire* batch to
+the multi-threaded native kernel in **one ctypes call**: the GIL is
+released once, a pthread pool inside the C library fans the queries
+out (per-thread scratch, fixed per-query output slots), and results
+are bit-identical to the serial kernel for any thread count.  Seed
+acquisition runs up front through
+:meth:`~repro.components.seeding.SeedProvider.acquire_batch` — in query
+order, so stateful providers (e.g. the random seeders) yield exactly
+the seeds a sequential loop would have drawn, with providers that score
+a candidate pool (PQ/ADC, fixed entries) vectorizing the whole batch in
+one GEMM — making the per-query telemetry (NDC including seed
+acquisition, hops, visited) identical to ``index.search`` query by
+query.
 
-* :func:`batched_best_first_search` (and its :func:`batch_search`
-  front-end) runs best-first search for a whole query batch in lockstep
-  rounds: every round, each still-active query contributes one
-  expansion, and each query's neighbor evaluations go through the same
-  squared-distance kernel the sequential search uses.  The visited/heap
-  bookkeeping is identical to
-  :func:`repro.components.routing.best_first_search`, so the results
-  (and the NDC accounting) match the sequential search — only the
-  wall-clock changes.
+Everything else takes the per-query path: indexes with a custom
+``_route``, traced runs, armed fault plans, kernel-less environments,
+and batches whose fused call raised.  A pool of ``workers`` threads
+runs ``index._route`` query by query, one
+:class:`~repro.components.context.SearchContext` per chunk, which
+reaches the serial C kernel whenever it can — so this path is
+bit-identical too, only slower.
 
-* :func:`search_batch` is the high-throughput engine.  For indexes
-  that route with the default best-first search it hands the *entire*
-  batch to the multi-threaded native kernel in **one ctypes call**: the
-  GIL is released once, a pthread pool inside the C library fans the
-  queries out (per-thread scratch, fixed per-query output slots), and
-  results are bit-identical to the serial kernel for any thread count.
-  Seed acquisition runs up front through
-  :meth:`~repro.components.seeding.SeedProvider.acquire_batch` — in
-  query order, so stateful providers (e.g. the random seeders) yield
-  exactly the seeds a sequential loop would have drawn, with providers
-  that score a candidate pool (PQ/ADC, fixed entries) vectorizing the
-  whole batch in one GEMM — making the per-query telemetry (NDC
-  including seed acquisition, hops, visited) identical to
-  ``index.search`` query by query.  Indexes with a custom ``_route``,
-  traced runs, deadline budgets, armed fault plans and kernel-less
-  environments fall back to the chunked Python worker pool, which
-  remains bit-identical (only slower).
+Budgets: the fused kernel enforces NDC caps, hop caps and wall-clock
+deadlines in C (deadlines checked every few expansions).  On the
+per-query path the serial kernel enforces NDC and hop caps; a query
+whose budget carries a deadline walks the NumPy frontier instead,
+which checks the clock between hops.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -44,45 +42,23 @@ import numpy as np
 
 from repro import _native, faults
 from repro import observability as obs
-from repro.algorithms.base import GraphANNS
+from repro.algorithms.base import GraphANNS, check_batch, finish_ids, merge_topk
 from repro.components.context import SearchContext
 from repro.compressed import DEFAULT_RERANK_FACTOR, finish_compressed, rerank_exact
-from repro.distance import DistanceCounter, sq_dists_to_rows, squared_norms
-from repro.resilience import InvalidQueryError, QueryBudget
+from repro.distance import DistanceCounter, squared_norms
+from repro.resilience import QueryBudget
 
-__all__ = [
-    "BatchSearchResult",
-    "BatchQueryResult",
-    "batched_best_first_search",
-    "batch_search",
-    "search_batch",
-]
-
-
-@dataclass
-class BatchSearchResult:
-    """Per-batch output: one row of ids/dists per query, plus telemetry."""
-
-    ids: np.ndarray          # (Q, k), -1-padded when a query found < k
-    dists: np.ndarray        # (Q, k), inf-padded
-    total_ndc: int
-    mean_hops: float
-    elapsed_s: float
-
-    @property
-    def qps(self) -> float:
-        """Whole-batch throughput."""
-        return len(self.ids) / max(self.elapsed_s, 1e-9)
+__all__ = ["BatchQueryResult", "search_batch"]
 
 
 @dataclass
 class BatchQueryResult:
-    """Worker-pool output with lossless per-query telemetry (§5.1).
+    """Batch output with lossless per-query telemetry (§5.1).
 
-    Unlike :class:`BatchSearchResult`, nothing is aggregated away: the
-    NDC (seed acquisition included, matching ``index.search``), hop and
-    visited counts survive per query, so recall-vs-NDC curves computed
-    from a batched run are identical to ones from a sequential loop.
+    Nothing is aggregated away: the NDC (seed acquisition included,
+    matching ``index.search``), hop and visited counts survive per
+    query, so recall-vs-NDC curves computed from a batched run are
+    identical to ones from a sequential loop.
 
     Resilience telemetry: ``errors[i]`` is ``None`` for a healthy query
     or a reason string when query ``i`` was rejected up front (NaN/Inf)
@@ -111,10 +87,10 @@ class BatchQueryResult:
     batch_id: str | None = None
     worker_utilization: float = 0.0
     # which engine answered the batch: "fused_mt" / "fused_mt_adc" (one
-    # GIL-released MT kernel call), "chunked_native" (per-chunk serial
-    # kernel calls), or "python" (per-query orchestration).  Serving
-    # telemetry uses this to prove SLO-budgeted batches stayed on the
-    # fast path; None for empty batches.
+    # GIL-released MT kernel call) or "python" (per-query
+    # orchestration).  Serving telemetry uses this to prove
+    # SLO-budgeted batches stayed on the fast path; None for empty
+    # batches.
     kernel_path: str | None = None
     # compressed mode only (None otherwise): per-query ADC table lookups
     # (zero true NDC) and exact re-rank cost (included in ndc)
@@ -146,175 +122,23 @@ class BatchQueryResult:
         return 0 if self.degraded is None else int(self.degraded.sum())
 
 
-class _QueryState:
-    """Heaps + bookkeeping for one query inside the lockstep loop.
-
-    Distances live in the squared domain (like the sequential frontier)
-    and are square-rooted only on extraction, so the values returned are
-    bit-identical to :func:`best_first_search`'s.
-    """
-
-    __slots__ = ("candidates", "results", "ef", "active", "hops")
-
-    def __init__(self, ef: int):
-        self.candidates: list[tuple[float, int]] = []
-        self.results: list[tuple[float, int]] = []
-        self.ef = ef
-        self.active = True
-        self.hops = 0
-
-    def worst(self) -> float:
-        return -self.results[0][0] if len(self.results) == self.ef else np.inf
-
-    def offer(self, idx: int, sq: float) -> None:
-        if len(self.results) < self.ef:
-            heapq.heappush(self.results, (-sq, idx))
-            heapq.heappush(self.candidates, (sq, idx))
-        elif sq < -self.results[0][0]:
-            heapq.heapreplace(self.results, (-sq, idx))
-            heapq.heappush(self.candidates, (sq, idx))
-
-    def pop_expansion(self) -> int | None:
-        """Next vertex to expand, or None (and deactivate) if finished."""
-        while self.candidates:
-            sq, u = heapq.heappop(self.candidates)
-            if sq > self.worst():
-                break
-            self.hops += 1
-            return u
-        self.active = False
-        return None
-
-    def top(self, k: int) -> list[tuple[float, int]]:
-        ordered = sorted((-negsq, idx) for negsq, idx in self.results)[:k]
-        return [(float(np.sqrt(sq)), idx) for sq, idx in ordered]
-
-
-def batched_best_first_search(
-    graph,
-    data: np.ndarray,
-    queries: np.ndarray,
-    seed_lists: list[np.ndarray],
-    ef: int,
-    k: int,
-    counter: DistanceCounter | None = None,
-) -> BatchSearchResult:
-    """Best-first search over a query batch in lockstep rounds.
-
-    Each query's distance evaluations flow through the same
-    expanded-form kernel (:func:`repro.distance.sq_dists_to_rows`,
-    against the shared norm cache) as the sequential search, so ids,
-    distances and NDC are identical to running the queries one by one.
-    """
-    counter = counter if counter is not None else DistanceCounter()
-    start_ndc = counter.count
-    started = time.perf_counter()
-    num_queries = len(queries)
-    n = graph.n
-    norms_sq = squared_norms(data)
-    queries64 = np.ascontiguousarray(queries, dtype=np.float64)
-    # per-row np.dot, not a row-wise einsum: it must produce the exact
-    # float SearchContext.begin_query computes for the sequential search
-    query_sqs = np.asarray([np.dot(row, row) for row in queries64])
-    visited = np.zeros((num_queries, n), dtype=bool)
-    states = [_QueryState(ef) for _ in range(num_queries)]
-
-    def score(q: int, vertices: np.ndarray) -> None:
-        sq = sq_dists_to_rows(
-            queries64[q], data[vertices], norms_sq[vertices], float(query_sqs[q])
-        )
-        counter.count += len(vertices)
-        state = states[q]
-        for vertex, value in zip(vertices.tolist(), sq.tolist()):
-            state.offer(vertex, value)
-
-    for q, seeds in enumerate(seed_lists):
-        seeds = np.unique(np.asarray(seeds, dtype=np.int64))
-        if len(seeds):
-            visited[q, seeds] = True
-            score(q, seeds)
-
-    while True:
-        expanded = False
-        for q, state in enumerate(states):
-            if not state.active:
-                continue
-            u = state.pop_expansion()
-            if u is None:
-                continue
-            nbrs = graph.neighbor_array(u)
-            nbrs = nbrs[~visited[q, nbrs]]
-            if len(nbrs) == 0:
-                continue
-            visited[q, nbrs] = True
-            score(q, nbrs)
-            expanded = True
-        if not expanded and not any(s.active for s in states):
-            break
-
-    ids = np.full((num_queries, k), -1, dtype=np.int64)
-    out_dists = np.full((num_queries, k), np.inf)
-    for q, state in enumerate(states):
-        for pos, (dist, idx) in enumerate(state.top(k)):
-            ids[q, pos] = idx
-            out_dists[q, pos] = dist
-    return BatchSearchResult(
-        ids=ids,
-        dists=out_dists,
-        total_ndc=counter.count - start_ndc,
-        mean_hops=float(np.mean([s.hops for s in states])) if states else 0.0,
-        elapsed_s=time.perf_counter() - started,
-    )
-
-
-def batch_search(
-    index: GraphANNS,
-    queries: np.ndarray,
-    k: int = 10,
-    ef: int | None = None,
-) -> BatchSearchResult:
-    """Lockstep-search a built index (seed acquisition per query)."""
-    if index.graph is None:
-        raise RuntimeError("build the index before batch searching")
-    ef = max(k, ef if ef is not None else index.default_ef)
-    counter = DistanceCounter()
-    seed_lists = [
-        np.asarray(index.seed_provider.acquire(query, counter), dtype=np.int64)
-        for query in queries
-    ]
-    return batched_best_first_search(
-        index.graph, index.data, np.asarray(queries, dtype=np.float32),
-        seed_lists, ef, k, counter=counter,
-    )
-
-
-# -- worker-pool engine -------------------------------------------------
-
-
 def _uses_default_route(index: GraphANNS) -> bool:
     return type(index)._route is GraphANNS._route
 
 
-def _chunk_native(index, ctx, queries, seed_lists, chunk, ef,
-                  max_ndcs=None, max_hops=-1):
-    """One native kernel call for a whole chunk of queries."""
-    queries64 = np.ascontiguousarray(queries[chunk], dtype=np.float64)
-    # per-row np.dot to match SearchContext.begin_query bit for bit
-    qsqs = np.asarray([np.dot(row, row) for row in queries64])
-    uniq = [np.unique(seed_lists[i]) for i in chunk]
-    n = index.graph.n
+def _pack_seeds(seed_lists: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR-pack per-query seed lists (uniqued, range-checked) for the
+    MT kernel: ``(seed_indptr, seeds)``."""
+    uniq = [np.unique(s) for s in seed_lists]
     for s in uniq:
         if len(s) and (s[0] < 0 or s[-1] >= n):
             raise IndexError(f"seed ids must lie in [0, {n}), got {s[0]}..{s[-1]}")
-    seed_indptr = np.zeros(len(chunk) + 1, dtype=np.int64)
+    seed_indptr = np.zeros(len(uniq) + 1, dtype=np.int64)
     np.cumsum([len(s) for s in uniq], out=seed_indptr[1:])
     seeds = (
         np.concatenate(uniq) if uniq else np.empty(0, dtype=np.int64)
     ).astype(np.int64, copy=False)
-    return _native.best_first_batch(
-        ctx, index.graph, queries64, qsqs, seed_indptr, seeds, ef,
-        max_ndcs=max_ndcs, max_hops=max_hops,
-    )
+    return seed_indptr, seeds
 
 
 def search_batch(
@@ -335,8 +159,8 @@ def search_batch(
     default-routing indexes the whole batch runs below the interpreter:
     one ctypes call into the multi-threaded C kernel (``workers``
     pthreads, the GIL released once), bit-identical for any thread
-    count.  Custom ``_route`` implementations, traced runs and
-    kernel-less environments use the chunked Python worker pool
+    count.  Custom ``_route`` implementations, traced runs, armed fault
+    plans and kernel-less environments use the per-query worker pool
     instead, each chunk reusing one :class:`SearchContext`.
 
     Resilience semantics:
@@ -355,60 +179,32 @@ def search_batch(
       each request's SLO deadline here.  Deadline budgets stay on the
       fused MT kernel: the C worker pool checks CLOCK_MONOTONIC
       coarsely (every few expansions) against each query's allowance,
-      so SLO-budgeted batches no longer fall back to the chunked
-      Python pool.  A deadline measures wall-clock from kernel entry
-      (the chunked fallback measures from each query's own route
-      start); a deadline that never fires changes no bits either way.
+      measured from kernel entry.  On the per-query path a deadline
+      sends that query to the NumPy frontier, which measures from its
+      own route start; a deadline that never fires changes no bits
+      either way.
     * A worker that raises mid-chunk does not sink the batch: the chunk
       is retried once, sequentially and in pure NumPy.  Queries that
       still fail get ``result.errors[i]`` set instead of propagating.
+      A fused call that raises (scratch allocation, bad seeds) is
+      answered by the per-query path in the same way.
 
     ``compressed=True`` traverses on the index's ADC tier: the per-query
     float32 LUTs for the whole batch are built up front (one GEMM per
-    subspace) and handed to the multi-threaded ADC kernel — or gathered
-    by the Python fallback *from the same tables*, which is what keeps
-    the two paths bit-identical at any thread count.  Each query's
+    subspace) and handed to the multi-threaded kernel — or gathered by
+    the per-query path *from the same tables*, which is what keeps the
+    two paths bit-identical at any thread count.  Each query's
     ADC-ordered pool (capped at ``rerank_factor * k``) is then re-ranked
     exactly; ``result.ndc`` counts seeds + re-rank only, with traversal
     lookups reported in ``result.adc_lookups``.
     """
     if index.graph is None or index.data is None:
         raise RuntimeError("build the index before batch searching")
-    try:
-        queries = np.ascontiguousarray(queries, dtype=np.float32)
-    except (TypeError, ValueError) as exc:
-        raise InvalidQueryError(f"query batch is not numeric: {exc}") from None
-    if queries.ndim != 2:
-        raise ValueError(f"queries must be 2-D, got shape {queries.shape}")
-    if queries.shape[1] != index.data.shape[1]:
-        raise InvalidQueryError(
-            f"dimension mismatch: index is {index.data.shape[1]}-d, "
-            f"queries are {queries.shape[1]}-d"
-        )
+    queries, budget, errors, finite_rows = check_batch(
+        queries, index.data.shape[1], budget
+    )
     num_queries = len(queries)
-    # heterogeneous per-request budgets: normalize a sequence into a
-    # per-query list (all-None collapses to the unbudgeted fast path)
-    budgets: list | None = None
-    if budget is not None and not isinstance(budget, QueryBudget):
-        budgets = list(budget)
-        if len(budgets) != num_queries:
-            raise ValueError(
-                f"budget sequence has {len(budgets)} entries for "
-                f"{num_queries} queries"
-            )
-        for entry in budgets:
-            if entry is not None and not isinstance(entry, QueryBudget):
-                raise TypeError(
-                    f"budget entries must be QueryBudget or None, "
-                    f"got {type(entry).__name__}"
-                )
-        budget = None
-        if all(entry is None for entry in budgets):
-            budgets = None
-    any_budget = budget is not None or budgets is not None
-
-    def budget_for(i: int) -> QueryBudget | None:
-        return budgets[i] if budgets is not None else budget
+    budgets = budget if isinstance(budget, list) else [budget] * num_queries
 
     ef = max(k, ef if ef is not None else index.default_ef)
     tier = None
@@ -439,7 +235,6 @@ def search_batch(
     ndc = np.zeros(num_queries, dtype=np.int64)
     hops = np.zeros(num_queries, dtype=np.int64)
     visited = np.zeros(num_queries, dtype=np.int64)
-    errors: list = [None] * num_queries
     degraded = np.zeros(num_queries, dtype=bool)
     adc_lookups = np.zeros(num_queries, dtype=np.int64) if compressed else None
     rerank_ndc = np.zeros(num_queries, dtype=np.int64) if compressed else None
@@ -449,18 +244,12 @@ def search_batch(
                                 trace_ids=trace_ids, batch_id=batch_id,
                                 adc_lookups=adc_lookups, rerank_ndc=rerank_ndc)
 
-    # Per-query validation: a NaN/Inf query poisons only its own row.
-    finite = np.isfinite(queries).all(axis=1)
-    for i in np.flatnonzero(~finite):
-        errors[i] = "query contains non-finite values (NaN/Inf)"
-
     # Seed acquisition runs batched but *in query order*: the default
     # acquire_batch loops per query exactly like the sequential search
     # (stateful providers draw identical seeds), while pool-scoring
     # providers (PQ/ADC, fixed entries, vectorized RNG) answer the
     # whole batch in one GEMM/draw without changing a single id.
     seed_lists: list = [None] * num_queries
-    finite_rows = np.flatnonzero(finite)
     if len(finite_rows):
         acquired, acq_counts = index.seed_provider.acquire_batch(
             queries[finite_rows]
@@ -468,15 +257,15 @@ def search_batch(
         for pos, i in enumerate(finite_rows):
             seed_lists[i] = np.asarray(acquired[pos], dtype=np.int64)
         ndc[finite_rows] = acq_counts
-    # frozen copy of the acquisition cost so a chunk retry can restore
+    # frozen copy of the acquisition cost so a retry can restore
     # per-query state idempotently
     acq_ndc = ndc.copy()
     if handles is not None:
         handles.batch_stage_seed_seconds.observe(time.perf_counter() - started)
 
     # Compressed mode: every query's (M, K) float32 table is built here,
-    # once, by one GEMM per subspace over the whole batch.  The MT ADC
-    # kernel reads slices of this very block and the Python fallback
+    # once, by one GEMM per subspace over the whole batch.  The MT
+    # kernel reads slices of this very block and the per-query path
     # gathers from the same slices via ctx.lut_override — a shared
     # source of truth, so thread count can never change a bit.
     luts = None
@@ -486,57 +275,37 @@ def search_batch(
         lut_pos = np.zeros(num_queries, dtype=np.int64)
         lut_pos[finite_rows] = np.arange(len(finite_rows), dtype=np.int64)
 
-    deleted = (
-        index._deleted
-        if index._deleted is not None and index._deleted.any() else None
-    )
+    deleted = index._live_tombstones()
     id_map = index._id_map  # reordered indexes return original-space ids
-    native_base = (
+    # The fused kernel honors *every* budget kind — per-query NDC/hop
+    # caps and coarse wall-clock deadlines are enforced inside the C
+    # worker pool.  It steps around hop tracing (hop events are only
+    # observable on the Python path, which is bit-identical) and armed
+    # fault plans (their injection points are per-chunk/per-query hooks
+    # in the per-query orchestration below).
+    fused = (
         _uses_default_route(index)
         and _native.LIB is not None
         and index.graph.finalized
         and index.graph.n > 0
-        # hop events are only observable on the Python path; it is
-        # bit-identical to the kernel, so traced results don't change
         and not tracing
+        and len(finite_rows) > 0
+        and faults.active() is None
     )
-    # The chunked serial kernel takes one uniform NDC/hop cap per
-    # chunk: deadline budgets and heterogeneous per-query budgets go
-    # through the per-query Python loop instead.
-    native_ok = (
-        native_base
-        and budgets is None
-        and (budget is None or budget.native_ok)
-    )
-    # The GIL-free whole-batch kernel honors *every* budget kind —
-    # per-query NDC/hop caps and coarse wall-clock deadlines are
-    # enforced inside the C worker pool — so SLO-budgeted batches stay
-    # on the fast path.  It only steps around armed fault plans (their
-    # injection points are per-chunk/per-query hooks in the Python
-    # orchestration below).
-    native_mt_ok = (
-        native_base and len(finite_rows) > 0 and faults.active() is None
-    )
-
-    def effective_budget(i: int) -> QueryBudget | None:
-        b = budget_for(i)
-        if b is None:
-            return None
-        return b.after_spending(int(acq_ndc[i]))
 
     def budget_cap_arrays(rows):
         """Per-query (max_ndcs, max_hops, deadlines) arrays for the MT
-        kernels — None/-1/0 entries mean unlimited.  Seed-acquisition
-        NDC is already charged; deadlines are relative to kernel entry
-        (seed acquisition happened before it, so a request's wall
-        budget covers the whole in-index span)."""
-        if not any_budget:
+        kernel — -1/0 entries mean unlimited.  Seed-acquisition NDC is
+        already charged; deadlines are relative to kernel entry (seed
+        acquisition happened before it, so a request's wall budget
+        covers the whole in-index span)."""
+        if budget is None:
             return None, None, None
         max_ndcs = np.full(len(rows), -1, dtype=np.int64)
         max_hops = np.full(len(rows), -1, dtype=np.int64)
         deadlines = np.zeros(len(rows), dtype=np.float64)
         for pos, i in enumerate(rows):
-            b = budget_for(i)
+            b = budgets[i]
             if b is None:
                 continue
             if b.max_ndc is not None:
@@ -548,15 +317,86 @@ def search_batch(
         return max_ndcs, max_hops, deadlines
 
     def fill_query(i: int, res_ids: np.ndarray, res_dists: np.ndarray) -> None:
-        if deleted is not None:
-            keep = ~deleted[res_ids]
-            res_ids = res_ids[keep]
-            res_dists = res_dists[keep]
-        m = min(k, len(res_ids))
-        ids[i, :m] = res_ids[:m] if id_map is None else id_map[res_ids[:m]]
-        dists[i, :m] = res_dists[:m]
+        res_ids, res_dists = finish_ids(res_ids, res_dists, deleted, k, id_map)
+        ids[i, : len(res_ids)] = res_ids
+        dists[i, : len(res_ids)] = res_dists
 
-    def run_query_python(i: int, ctx: SearchContext) -> None:
+    def reset(rows) -> None:
+        """Undo whatever a failed attempt wrote for ``rows``."""
+        ids[rows] = -1
+        dists[rows] = np.inf
+        ndc[rows] = acq_ndc[rows]
+        hops[rows] = 0
+        visited[rows] = 0
+        degraded[rows] = False
+        if compressed:
+            adc_lookups[rows] = 0
+            rerank_ndc[rows] = 0
+        if trace_ids is not None:   # a retry must not duplicate trace ids
+            obs.RECORDER.discard({trace_ids[i] for i in rows})
+
+    def run_fused() -> np.ndarray:
+        """One GIL-released C call walks every finite query on a pthread
+        pool (compressed: over the uint8 codes against its slice of the
+        shared LUT block, then each ADC-ordered pool is re-ranked
+        exactly in query order); returns per-thread busy seconds."""
+        rows = finite_rows
+        seed_indptr, seeds = _pack_seeds(
+            [seed_lists[i] for i in rows], index.graph.n
+        )
+        max_ndcs, max_hops, deadlines = budget_cap_arrays(rows)
+        # results are bit-identical for any thread count, so threads
+        # beyond the physical cores buy nothing but context switches
+        # and per-thread scratch pressure — clamp to the machine
+        kernel_threads = max(1, min(workers, os.cpu_count() or workers))
+        caps = dict(max_ndcs=max_ndcs, max_hops=max_hops, deadlines=deadlines)
+        queries64 = np.ascontiguousarray(queries[rows], dtype=np.float64)
+        if compressed:
+            out_ids, out_sq, out_len, stats, thread_busy = (
+                _native.best_first_batch_adc_mt(
+                    tier.codes, luts, index.graph, len(rows), seed_indptr,
+                    seeds, ef, kernel_threads, **caps,
+                )
+            )
+        else:
+            # per-row np.dot to match SearchContext.begin_query bit for bit
+            qsqs = np.asarray([np.dot(row, row) for row in queries64])
+            out_ids, out_sq, out_len, stats, thread_busy = (
+                _native.best_first_batch_mt(
+                    index.data, squared_norms(index.data), index.graph,
+                    queries64, qsqs, seed_indptr, seeds, ef, kernel_threads,
+                    **caps,
+                )
+            )
+        hops[rows] = stats[:, 1]
+        visited[rows] = stats[:, 2]
+        degraded[rows] = stats[:, 3] > 0
+        if compressed:
+            adc_lookups[rows] = stats[:, 0]
+            for pos, i in enumerate(rows):
+                pool = out_ids[pos, : out_len[pos]].astype(np.int64)
+                # same order as finish_compressed: tombstone-filter
+                # first, then cap — pool ids arrive in ascending ADC order
+                if deleted is not None and len(pool):
+                    pool = pool[~deleted[pool]]
+                pool = pool[:max_pool]
+                res_ids, res_dists = rerank_exact(index.data, queries64[pos], pool)
+                ndc[i] = acq_ndc[i] + len(pool)
+                rerank_ndc[i] = len(pool)
+                fill_query(i, res_ids, res_dists)
+            return thread_busy
+        ndc[rows] = acq_ndc[rows] + stats[:, 0]
+        if deleted is None and int(out_len.min()) >= k:
+            top = out_ids[:, :k]
+            ids[rows] = top if id_map is None else id_map[top]
+            dists[rows] = np.sqrt(out_sq[:, :k])
+        else:
+            for pos, i in enumerate(rows):
+                fill_query(i, out_ids[pos, : out_len[pos]].astype(np.int64),
+                           np.sqrt(out_sq[pos, : out_len[pos]]))
+        return thread_busy
+
+    def run_query(i: int, ctx: SearchContext) -> None:
         plan = faults.active()
         if plan is not None:
             plan.before_query(i)
@@ -571,6 +411,7 @@ def search_batch(
             trace.record_seeds(seed_lists[i], route.count)
             ctx.trace = trace
         t0 = time.perf_counter() if trace is not None else 0.0
+        row_budget = budgets[i]
         try:
             if compressed:
                 ctx.compressed = tier
@@ -578,7 +419,8 @@ def search_batch(
             try:
                 result = index._route(
                     queries[i], seed_lists[i], ef, route, ctx=ctx,
-                    budget=effective_budget(i),
+                    budget=(None if row_budget is None
+                            else row_budget.after_spending(int(acq_ndc[i]))),
                 )
             finally:
                 if compressed:
@@ -610,220 +452,61 @@ def search_batch(
             obs.finish_query_trace(trace, result, time.perf_counter() - t0)
 
     def run_chunk(worker_index: int, chunk: np.ndarray) -> None:
-        plan = faults.active()
-        if plan is not None:
-            plan.before_chunk(worker_index)
-        ctx = SearchContext(index.data)
-        # compressed chunks always take the per-query loop below: it
-        # dispatches to the serial native ADC kernel per query when
-        # available, and to the NumPy gather otherwise — both scoring
-        # from the shared batch LUT block
-        if native_ok and ctx.native and not compressed:
-            max_ndcs = None
-            max_hops = -1
-            if budget is not None:
-                if budget.max_ndc is not None:
-                    max_ndcs = np.maximum(
-                        budget.max_ndc - acq_ndc[chunk], 0
-                    ).astype(np.int64)
-                if budget.max_hops is not None:
-                    max_hops = int(budget.max_hops)
-            out_ids, out_sq, out_len, stats = _chunk_native(
-                index, ctx, queries, seed_lists, chunk, ef,
-                max_ndcs=max_ndcs, max_hops=max_hops,
-            )
-            ndc[chunk] = acq_ndc[chunk] + stats[:, 0]
-            hops[chunk] = stats[:, 1]
-            visited[chunk] = stats[:, 2]
-            degraded[chunk] = stats[:, 3] > 0
-            if deleted is None and int(out_len.min()) >= k:
-                rows = out_ids[:, :k]
-                ids[chunk] = rows if id_map is None else id_map[rows]
-                dists[chunk] = np.sqrt(out_sq[:, :k])
-                return
-            for pos, i in enumerate(chunk):
-                fill_query(i, out_ids[pos, : out_len[pos]].astype(np.int64),
-                           np.sqrt(out_sq[pos, : out_len[pos]]))
-            return
-        for i in chunk:
-            run_query_python(i, ctx)
-
-    def run_chunk_isolated(worker_index: int, chunk: np.ndarray) -> None:
-        """Fault isolation: a chunk whose worker raises is reset and
-        retried once, query by query, in pure NumPy; queries that still
-        fail report an error string instead of sinking the batch."""
+        """Answer ``chunk`` query by query.  Fault isolation: a chunk
+        whose worker raises is reset and retried once, query by query,
+        in pure NumPy; queries that still fail report an error string
+        instead of sinking the batch."""
         if len(chunk) == 0:
             return
         try:
-            run_chunk(worker_index, chunk)
+            plan = faults.active()
+            if plan is not None:
+                plan.before_chunk(worker_index)
+            ctx = SearchContext(index.data)
+            for i in chunk:
+                run_query(i, ctx)
             return
         except Exception:
-            # restore whatever partial per-query state the failed
-            # attempt may have written
-            ids[chunk] = -1
-            dists[chunk] = np.inf
-            ndc[chunk] = acq_ndc[chunk]
-            hops[chunk] = 0
-            visited[chunk] = 0
-            degraded[chunk] = False
-            if compressed:
-                adc_lookups[chunk] = 0
-                rerank_ndc[chunk] = 0
-            if trace_ids is not None:   # retry must not duplicate ids
-                obs.RECORDER.discard({trace_ids[i] for i in chunk})
+            reset(chunk)
             if handles is not None:
                 handles.chunk_retries_total.inc()
         ctx = SearchContext(index.data)
         ctx.native = False   # retry on the always-available NumPy path
         for i in chunk:
             try:
-                run_query_python(i, ctx)
+                run_query(i, ctx)
             except Exception as exc:  # persistent per-query failure
                 errors[i] = f"{type(exc).__name__}: {exc}"
-                ids[i] = -1
-                dists[i] = np.inf
-                ndc[i] = acq_ndc[i]
-                hops[i] = 0
-                visited[i] = 0
-                degraded[i] = False
-                if compressed:
-                    adc_lookups[i] = 0
-                    rerank_ndc[i] = 0
-                if trace_ids is not None:
-                    obs.RECORDER.discard({trace_ids[i]})
-
-    def run_batch_native_mt() -> np.ndarray:
-        """One GIL-released C call answers every finite query on a
-        pthread pool; returns per-thread busy seconds."""
-        rows = finite_rows
-        queries64 = np.ascontiguousarray(queries[rows], dtype=np.float64)
-        # per-row np.dot to match SearchContext.begin_query bit for bit
-        qsqs = np.asarray([np.dot(row, row) for row in queries64])
-        uniq = [np.unique(seed_lists[i]) for i in rows]
-        n = index.graph.n
-        for s in uniq:
-            if len(s) and (s[0] < 0 or s[-1] >= n):
-                raise IndexError(
-                    f"seed ids must lie in [0, {n}), got {s[0]}..{s[-1]}"
-                )
-        seed_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(s) for s in uniq], out=seed_indptr[1:])
-        seeds = (
-            np.concatenate(uniq) if uniq else np.empty(0, dtype=np.int64)
-        ).astype(np.int64, copy=False)
-        max_ndcs, max_hops, deadlines = budget_cap_arrays(rows)
-        # results are bit-identical for any thread count, so threads
-        # beyond the physical cores buy nothing but context switches
-        # and per-thread scratch pressure — clamp to the machine
-        kernel_threads = max(1, min(workers, os.cpu_count() or workers))
-        out_ids, out_sq, out_len, stats, thread_busy = _native.best_first_batch_mt(
-            index.data, squared_norms(index.data), index.graph,
-            queries64, qsqs, seed_indptr, seeds, ef, kernel_threads,
-            max_ndcs=max_ndcs, max_hops=max_hops, deadlines=deadlines,
-        )
-        ndc[rows] = acq_ndc[rows] + stats[:, 0]
-        hops[rows] = stats[:, 1]
-        visited[rows] = stats[:, 2]
-        degraded[rows] = stats[:, 3] > 0
-        if deleted is None and int(out_len.min()) >= k:
-            top = out_ids[:, :k]
-            ids[rows] = top if id_map is None else id_map[top]
-            dists[rows] = np.sqrt(out_sq[:, :k])
-        else:
-            for pos, i in enumerate(rows):
-                fill_query(i, out_ids[pos, : out_len[pos]].astype(np.int64),
-                           np.sqrt(out_sq[pos, : out_len[pos]]))
-        return thread_busy
-
-    def run_batch_native_mt_compressed() -> np.ndarray:
-        """Compressed twin of :func:`run_batch_native_mt`: one
-        GIL-released call walks every query over the uint8 codes against
-        its slice of the shared LUT block, then each ADC-ordered pool is
-        re-ranked exactly in query order (the only stage that reads
-        float32 rows)."""
-        rows = finite_rows
-        uniq = [np.unique(seed_lists[i]) for i in rows]
-        n = index.graph.n
-        for s in uniq:
-            if len(s) and (s[0] < 0 or s[-1] >= n):
-                raise IndexError(
-                    f"seed ids must lie in [0, {n}), got {s[0]}..{s[-1]}"
-                )
-        seed_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(s) for s in uniq], out=seed_indptr[1:])
-        seeds = (
-            np.concatenate(uniq) if uniq else np.empty(0, dtype=np.int64)
-        ).astype(np.int64, copy=False)
-        max_ndcs, max_hops, deadlines = budget_cap_arrays(rows)
-        kernel_threads = max(1, min(workers, os.cpu_count() or workers))
-        out_ids, out_sq, out_len, stats, thread_busy = (
-            _native.best_first_batch_adc_mt(
-                tier.codes, luts, index.graph, len(rows), seed_indptr,
-                seeds, ef, kernel_threads,
-                max_ndcs=max_ndcs, max_hops=max_hops, deadlines=deadlines,
-            )
-        )
-        queries64 = np.ascontiguousarray(queries[rows], dtype=np.float64)
-        adc_lookups[rows] = stats[:, 0]
-        hops[rows] = stats[:, 1]
-        visited[rows] = stats[:, 2]
-        degraded[rows] = stats[:, 3] > 0
-        for pos, i in enumerate(rows):
-            pool = out_ids[pos, : out_len[pos]].astype(np.int64)
-            # same order as finish_compressed: tombstone-filter first,
-            # then cap — pool ids arrive in ascending ADC order
-            if deleted is not None and len(pool) and deleted.any():
-                pool = pool[~deleted[pool]]
-            pool = pool[:max_pool]
-            res_ids, res_dists = rerank_exact(index.data, queries64[pos], pool)
-            ndc[i] = acq_ndc[i] + len(pool)
-            rerank_ndc[i] = len(pool)
-            fill_query(i, res_ids, res_dists)
-        return thread_busy
+                reset([i])
 
     workers = max(1, min(int(workers), num_queries))
-    chunks = np.array_split(np.flatnonzero(finite), workers)
     busy = [0.0] * workers
 
     def run_timed(worker_index: int, chunk: np.ndarray) -> None:
-        if handles is None:
-            run_chunk_isolated(worker_index, chunk)
-            return
         t0 = time.perf_counter()
         try:
-            run_chunk_isolated(worker_index, chunk)
+            run_chunk(worker_index, chunk)
         finally:
             busy[worker_index] = time.perf_counter() - t0
 
     compute_started = time.perf_counter()
-    fused_done = False
-    if native_mt_ok:
+    kernel_path = "python"
+    if fused:
         try:
-            thread_busy = (
-                run_batch_native_mt_compressed() if compressed
-                else run_batch_native_mt()
-            )
+            thread_busy = run_fused()
             busy = [float(b) for b in thread_busy] + [0.0] * max(
                 0, workers - len(thread_busy)
             )
-            fused_done = True
+            kernel_path = "fused_mt_adc" if compressed else "fused_mt"
         except Exception:
             # kernel-side failure (scratch allocation, bad seeds): reset
-            # any partial per-query state and take the resilient chunked
-            # path below, exactly as a failed chunk would
-            rows = finite_rows
-            ids[rows] = -1
-            dists[rows] = np.inf
-            ndc[rows] = acq_ndc[rows]
-            hops[rows] = 0
-            visited[rows] = 0
-            degraded[rows] = False
-            if compressed:
-                adc_lookups[rows] = 0
-                rerank_ndc[rows] = 0
+            # any partial per-query state and answer per query below,
+            # exactly as a failed chunk would be
+            reset(finite_rows)
             if handles is not None:
                 handles.chunk_retries_total.inc()
-    if not fused_done:
+    if kernel_path == "python":
+        chunks = np.array_split(finite_rows, workers)
         if workers == 1:
             run_timed(0, chunks[0])
         else:
@@ -834,26 +517,20 @@ def search_batch(
                 ]
                 for future in futures:
                     future.result()
-    if fused_done:
-        kernel_path = "fused_mt_adc" if compressed else "fused_mt"
-    elif native_ok and not compressed:
-        kernel_path = "chunked_native"
-    else:
-        kernel_path = "python"
 
     # Two-tier merge: when the index carries a delta side-graph, fold
-    # its per-query top-k into the finished base rows.  Every compute
-    # path above (fused MT kernel, chunked pool, traced Python) lands
-    # here, so the merge semantics match the sequential search exactly;
-    # with an empty delta this block never runs and the batch stays
-    # bit-identical (ids and NDC) to the single-tier code.
+    # its per-query top-k into the finished base rows.  Both compute
+    # paths above land here, so the merge semantics match the
+    # sequential search exactly; with an empty delta this block never
+    # runs and the batch stays bit-identical (ids and NDC) to the
+    # single-tier code.
     delta = getattr(index, "_delta", None)
     if delta is not None and delta.n:
         for i in finite_rows:
             if errors[i] is not None:
                 continue
             dcounter = DistanceCounter()
-            row_budget = budget_for(i)
+            row_budget = budgets[i]
             dres = delta.search(
                 np.ascontiguousarray(queries[i], dtype=np.float64), k, ef,
                 dcounter,
@@ -868,14 +545,13 @@ def search_batch(
             if not len(dres.ids):
                 continue
             keep = ids[i] >= 0
-            all_ids = np.concatenate([ids[i][keep], dres.ids])
-            all_dists = np.concatenate([dists[i][keep], dres.dists])
-            order = np.lexsort((all_ids, all_dists))[:k]
-            m = len(order)
-            ids[i, :m] = all_ids[order]
-            ids[i, m:] = -1
-            dists[i, :m] = all_dists[order]
-            dists[i, m:] = np.inf
+            row_ids, row_dists = merge_topk(
+                [(ids[i][keep], dists[i][keep]), (dres.ids, dres.dists)], k
+            )
+            ids[i] = -1
+            dists[i] = np.inf
+            ids[i, : len(row_ids)] = row_ids
+            dists[i, : len(row_ids)] = row_dists
     elapsed_s = time.perf_counter() - started
     utilization = 0.0
     if handles is not None:

@@ -230,17 +230,11 @@ def _native_best_first(
     if budget is not None:
         max_ndc = -1 if budget.max_ndc is None else budget.max_ndc
         max_hops = -1 if budget.max_hops is None else budget.max_hops
-    if ctx.compressed is not None:
-        # ADC fast path: walks uint8 codes against the per-query LUT
-        # that begin_query just built; the float32 tier stays cold.
-        ids, sq, ndc, hops, visited, fired = _native.best_first_adc(
-            ctx, graph, ctx.compressed.codes, ctx.lut, seeds, ef,
-            max_ndc, max_hops,
-        )
-    else:
-        ids, sq, ndc, hops, visited, fired = _native.best_first(
-            ctx, graph, ctx.query64, ctx.query_sq, seeds, ef, max_ndc, max_hops
-        )
+    # with ctx.compressed set the kernel walks uint8 codes against the
+    # per-query LUT begin_query just built; the float32 tier stays cold
+    ids, sq, ndc, hops, visited, fired = _native.best_first(
+        ctx, graph, ctx.query64, ctx.query_sq, seeds, ef, max_ndc, max_hops
+    )
     counter.count += ndc
     result = SearchResult(
         ids, np.sqrt(sq), ndc=ndc, hops=hops, visited=visited

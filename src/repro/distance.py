@@ -63,7 +63,7 @@ def pairwise_l2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # avoids materializing a ``points - query`` difference matrix on every
 # expansion.  The cache is keyed by array identity and evicted when the
 # data array is garbage-collected, so every search path (sequential,
-# context-reuse, lockstep batch) slices the *same* norm array and
+# context-reuse, batched) slices the *same* norm array and
 # produces bit-identical distances.
 
 _NORM_CACHE: dict[int, tuple[weakref.ref, np.ndarray]] = {}
@@ -106,8 +106,7 @@ def sq_dists_to_rows(
     The single kernel every routing path funnels through: the native
     extension (``repro._native``) provides a drop-in C version whose
     summation order matches its in-kernel search, keeping the Python
-    frontier, the lockstep batch engine and the native best-first search
-    mutually bit-identical.
+    frontier and the native best-first kernels mutually bit-identical.
     """
     from repro import _native
 

@@ -264,7 +264,7 @@ class Instruments:
         return self._registry.counter(
             "repro_batch_kernel_path_total",
             "search_batch calls by compute path "
-            "(fused_mt/fused_mt_adc/chunked_native/python).",
+            "(fused_mt/fused_mt_adc/python).",
             labels={"path": path})
 
     def build_phase_seconds(self, phase: str) -> Histogram:

@@ -84,10 +84,12 @@ class QueryBudget:
 
     ``max_ndc`` is a hard cap on distance computations during routing
     (the paper's NDC); ``max_hops`` caps expanded vertices (the query
-    path length of Table 5); ``deadline_s`` is a wall-clock limit
-    checked between hops.  The deadline cannot be enforced inside the
-    native kernel, so a budget with a deadline routes through the pure
-    NumPy path — NDC and hop caps are honored natively.
+    path length of Table 5); ``deadline_s`` is a wall-clock limit.
+    The multi-threaded batch kernel (``search_batch``'s fused path)
+    honors all three in C, checking the clock every few expansions.
+    The serial kernel (``search`` and the per-query batch path) honors
+    NDC and hop caps only, so a budget with a deadline sends that query
+    through the NumPy frontier, which checks the clock between hops.
     """
 
     deadline_s: float | None = None
@@ -108,7 +110,8 @@ class QueryBudget:
 
     @property
     def native_ok(self) -> bool:
-        """Whether the C kernel can honor every limit in this budget."""
+        """Whether the serial C kernel can honor every limit in this
+        budget (the MT batch kernel honors deadlines too)."""
         return self.deadline_s is None
 
     def after_spending(self, ndc: int) -> "QueryBudget":

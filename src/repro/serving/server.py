@@ -374,7 +374,10 @@ class BackgroundServer:
         try:
             fut.result(timeout=self.config.drain_timeout_s + 10.0)
         finally:
-            loop.call_soon_threadsafe(lambda: None)  # wake the loop
+            try:
+                loop.call_soon_threadsafe(lambda: None)  # wake the loop
+            except RuntimeError:
+                pass  # the drained loop already finished and closed
             if self._thread is not None:
                 self._thread.join(timeout=10.0)
 

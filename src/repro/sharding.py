@@ -53,6 +53,7 @@ import numpy as np
 from repro import faults
 from repro import observability as obs
 from repro.algorithms import create
+from repro.algorithms.base import check_batch, merge_topk
 from repro.components.routing import SearchResult
 from repro.distance import DistanceCounter, l2_batch, pairwise_l2
 from repro.resilience import (
@@ -601,7 +602,12 @@ class ShardedIndex:
             finally:
                 pool.shutdown(wait=False, cancel_futures=True)
 
-        merged = self._merge_single(results, k)
+        # a lone survivor's rows pass through untouched (bit-identical to
+        # the unsharded search); several merge by (distance, global id)
+        merged = merge_topk([
+            (self.shard_ids[s][result.ids], result.dists)
+            for s, result in sorted(results.items())
+        ], k)
         survivors = tuple(s for s in chosen if s in results)
         # shards quarantined before this query (load-time checksum
         # failures, verify) also mean incomplete coverage: report them
@@ -639,30 +645,6 @@ class ShardedIndex:
             self._log.warning("shard.dropped", shard=s, reason=reason[:200])
         return out
 
-    def _merge_single(
-        self, results: dict[int, SearchResult], k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Merge per-shard top-k lists into global-id top-k.
-
-        A lone survivor's rows pass through untouched (bit-identical to
-        the unsharded search); multiple survivors merge under a stable
-        ``(distance, global id)`` sort, which no shard arrival order or
-        thread count can perturb.
-        """
-        if not results:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        if len(results) == 1:
-            ((s, result),) = results.items()
-            return self.shard_ids[s][result.ids], result.dists
-        gids = np.concatenate([
-            self.shard_ids[s][result.ids] for s, result in sorted(results.items())
-        ])
-        dists = np.concatenate([
-            result.dists for _, result in sorted(results.items())
-        ])
-        order = np.lexsort((gids, dists))[:k]
-        return gids[order], dists[order]
-
     # -- batched scatter–gather -----------------------------------------
 
     def search_batch(
@@ -692,21 +674,9 @@ class ShardedIndex:
         from repro.batch import BatchQueryResult, search_batch
 
         self._require_shards()
-        try:
-            queries = np.ascontiguousarray(queries, dtype=np.float32)
-        except (TypeError, ValueError) as exc:
-            raise InvalidQueryError(
-                f"query batch is not numeric: {exc}"
-            ) from None
-        if queries.ndim != 2:
-            raise ValueError(
-                f"queries must be 2-D, got shape {queries.shape}"
-            )
-        if queries.shape[1] != self.dim:
-            raise InvalidQueryError(
-                f"dimension mismatch: index is {self.dim}-d, "
-                f"queries are {queries.shape[1]}-d"
-            )
+        queries, budget, errors, finite_rows = check_batch(
+            queries, self.dim, budget
+        )
         started = time.perf_counter()
         num_queries = len(queries)
         ids = np.full((num_queries, k), -1, dtype=np.int64)
@@ -714,7 +684,6 @@ class ShardedIndex:
         ndc = np.zeros(num_queries, dtype=np.int64)
         hops = np.zeros(num_queries, dtype=np.int64)
         visited = np.zeros(num_queries, dtype=np.int64)
-        errors: list = [None] * num_queries
         degraded = np.zeros(num_queries, dtype=bool)
         alive = self.alive_shards
         report = ShardReport(fanout=0, shards_queried=(), survivors=())
@@ -723,11 +692,6 @@ class ShardedIndex:
                 ids, dists, ndc, hops, visited, 0.0, workers,
                 errors=errors, degraded=degraded, shard_report=report,
             )
-
-        finite = np.isfinite(queries).all(axis=1)
-        for i in np.flatnonzero(~finite):
-            errors[i] = "query contains non-finite values (NaN/Inf)"
-        finite_rows = np.flatnonzero(finite)
 
         # route every finite query to its top-P alive shards
         if len(alive) == 1:
@@ -751,18 +715,12 @@ class ShardedIndex:
         ndc[finite_rows] = routing_ndc
 
         slice_fan = fan if len(alive) > 1 else 1
-        if budget is None or isinstance(budget, QueryBudget):
+        if isinstance(budget, list):
+            shard_budget = None
+            per_query_budget = [slice_budget(b, slice_fan) for b in budget]
+        else:
             shard_budget = slice_budget(budget, slice_fan)
             per_query_budget = None
-        else:
-            budgets = list(budget)
-            if len(budgets) != num_queries:
-                raise ValueError(
-                    f"budget sequence length {len(budgets)} != "
-                    f"batch size {num_queries}"
-                )
-            shard_budget = None
-            per_query_budget = [slice_budget(b, slice_fan) for b in budgets]
         plan = faults.active()
         quarantined: list[tuple[int, str]] = []
         shard_results: dict[int, tuple[np.ndarray, object]] = {}
@@ -827,16 +785,9 @@ class ShardedIndex:
                     degraded[i] = True
 
         for i, parts in per_query.items():
-            if len(parts) == 1:
-                gids, gdists = parts[0]
-            else:
-                gids = np.concatenate([p[0] for p in parts])
-                gdists = np.concatenate([p[1] for p in parts])
-                order = np.lexsort((gids, gdists))
-                gids, gdists = gids[order], gdists[order]
-            m = min(k, len(gids))
-            ids[i, :m] = gids[:m]
-            dists[i, :m] = gdists[:m]
+            gids, gdists = merge_topk(parts, k)
+            ids[i, : len(gids)] = gids
+            dists[i, : len(gids)] = gdists
 
         for i in finite_rows:
             if int(i) not in per_query and errors[i] is None and degraded[i]:

@@ -112,21 +112,30 @@ class TestKernelThreadPool:
         seed_indptr = np.arange(len(queries) + 1, dtype=np.int64)
         seeds = np.tile(entry, len(queries))
         ctx = SearchContext(index.data)
-        ref = _native.best_first_batch(
-            ctx, index.graph, queries64, qsqs, seed_indptr, seeds, 32
-        )
+        ref = []
+        for query in queries64:
+            ctx.begin_query(query)
+            ref.append(_native.best_first(
+                ctx, index.graph, ctx.query64, ctx.query_sq, entry, 32
+            ))
         for n_threads in (1, 2, 8):
-            got = _native.best_first_batch_mt(
+            ids, sq, lengths, stats, _ = _native.best_first_batch_mt(
                 index.data, squared_norms(index.data), index.graph,
                 queries64, qsqs, seed_indptr, seeds, 32, n_threads,
             )
-            for ref_arr, got_arr, label in zip(
-                ref, got, ("ids", "sq", "len", "stats")
+            for i, (r_ids, r_sq, r_ndc, r_hops, r_visited, r_fired) in (
+                enumerate(ref)
             ):
+                label = f"n_threads={n_threads} query={i}"
+                assert lengths[i] == len(r_ids), label
                 np.testing.assert_array_equal(
-                    got_arr, ref_arr,
-                    err_msg=f"n_threads={n_threads}: {label}",
+                    ids[i, : lengths[i]], r_ids, err_msg=label
                 )
+                np.testing.assert_array_equal(
+                    sq[i, : lengths[i]], r_sq, err_msg=label
+                )
+                assert tuple(stats[i]) == (r_ndc, r_hops, r_visited, 0), label
+                assert r_fired is None, label
 
     def test_thread_busy_reported(self, world):
         data, queries = world
