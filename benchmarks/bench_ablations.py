@@ -26,7 +26,7 @@ _rows: dict[str, tuple] = {}
 
 
 def _evaluate(index, dataset, ef=60):
-    stats = index.batch_search(dataset.queries, dataset.ground_truth, k=10, ef=ef)
+    stats = index.evaluate(dataset.queries, dataset.ground_truth, k=10, ef=ef)
     return stats.recall, stats.mean_ndc
 
 
@@ -138,7 +138,7 @@ def test_batched_vs_sequential_search(benchmark):
     def run():
         index = create("nsg", seed=0)
         index.build(dataset.base)
-        sequential = index.batch_search(
+        sequential = index.evaluate(
             dataset.queries, dataset.ground_truth, k=10, ef=60
         )
         batched = search_batch(index, dataset.queries, k=10, ef=60)

@@ -78,7 +78,7 @@ def test_component_swap(benchmark, component, choice, dataset_name):
         else:
             bench.build(dataset.base)
             _graph_cache[graph_key] = bench
-        stats = bench.batch_search(
+        stats = bench.evaluate(
             dataset.queries, dataset.ground_truth, k=10, ef=60
         )
         _config_cache[key] = (bench, stats)

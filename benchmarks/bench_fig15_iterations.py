@@ -27,7 +27,7 @@ def test_iterations(benchmark, iterations, dataset_name):
     def build_and_search():
         bench = BenchmarkAlgorithm(iterations=iterations, seed=0)
         bench.build(dataset.base)
-        stats = bench.batch_search(
+        stats = bench.evaluate(
             dataset.queries, dataset.ground_truth, k=10, ef=60
         )
         return bench, stats

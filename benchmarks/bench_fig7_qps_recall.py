@@ -24,7 +24,7 @@ def test_qps_recall_curve(benchmark, algorithm_name, dataset_name):
     dataset = get_dataset(dataset_name)
 
     def run_batch():
-        return index.batch_search(
+        return index.evaluate(
             dataset.queries, dataset.ground_truth, k=10, ef=80
         )
 

@@ -18,8 +18,7 @@ enabled modes (metrics only, metrics + hop tracing) are timed too —
 tracing is *expected* to cost real time since it forces the pure-Python
 frontier and records every hop.
 
-Writes ``benchmarks/results/observability_overhead.txt`` and merges an
-``"observability"`` section into ``BENCH_search.json``.  Run directly::
+Writes ``benchmarks/results/observability_overhead.txt``.  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_observability_overhead.py
 
@@ -30,7 +29,6 @@ Scale knobs: ``REPRO_BENCH_OBS_N`` (points, default 8000),
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 import time
@@ -39,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import create, observability as obs
+from repro.algorithms.base import finish_ids
 from repro.distance import DistanceCounter
 from repro.resilience import InvalidQueryError, validate_query
 
@@ -50,16 +49,17 @@ K = 10
 EF = 40
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_search.json"
 
 
 def search_replica(index, query, k, ef):
     """``GraphANNS.search`` with the observability lines removed.
 
-    Kept in lock-step with :meth:`repro.algorithms.base.GraphANNS.search`
-    — validation, tombstone handling and all — so the only difference is
-    the deleted instrumentation: this is the code that would exist had
-    the observability layer never been added.
+    Kept in lock-step with the exact (``compressed=False``) path of
+    :meth:`repro.algorithms.base.GraphANNS.search` — validation,
+    ``finish_ids`` (tombstones, top-k cut, reorder map) and the delta
+    merge — so the only difference is the deleted instrumentation: this
+    is the code that would exist had the observability layer never been
+    added.
     """
     index._require_built()
     reason = validate_query(query, index.data.shape[1])
@@ -78,12 +78,12 @@ def search_replica(index, query, k, ef):
         ctx=ctx, budget=budget,
     )
     result.ndc = counter.count - start
-    if index.num_deleted and len(result.ids):
-        keep = ~index._deleted[result.ids]
-        result.ids = result.ids[keep]
-        result.dists = result.dists[keep]
-    result.ids = result.ids[:k]
-    result.dists = result.dists[:k]
+    result.ids, result.dists = finish_ids(
+        result.ids, result.dists, index._live_tombstones(), k, index._id_map
+    )
+    delta = index._delta
+    if delta is not None and delta.n:
+        index._merge_delta(result, query, k, ef, counter, budget, start)
     return result
 
 
@@ -152,20 +152,6 @@ def main() -> None:
                       *lines, ""])
     (RESULTS_DIR / "observability_overhead.txt").write_text(body)
     print("\n" + body)
-
-    report = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
-    report["observability"] = {
-        "n": N,
-        "num_queries": NUM_QUERIES,
-        "rounds": ROUNDS,
-        "disabled_s": a_med,
-        "replica_s": b_med,
-        "disabled_overhead_pct": overhead_pct,
-        "metrics_enabled_s": metrics_s,
-        "tracing_enabled_s": tracing_s,
-    }
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"merged observability section into {BENCH_JSON}")
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ def test_scalability(benchmark, algorithm_name, knob):
             )
             index = create(algorithm_name, seed=0)
             index.build(dataset.base)
-            stats = index.batch_search(
+            stats = index.evaluate(
                 dataset.queries, dataset.ground_truth, k=10, ef=60
             )
             results.append((label, index.build_report.build_time_s, stats))

@@ -27,7 +27,7 @@ def test_randomized_trials(benchmark, algorithm_name):
         for trial in TRIALS:
             index = create(algorithm_name, seed=trial)
             index.build(dataset.base)
-            stats = index.batch_search(
+            stats = index.evaluate(
                 dataset.queries, dataset.ground_truth, k=10, ef=60
             )
             out.append(

@@ -27,7 +27,6 @@ RESULTS = Path(__file__).resolve().parent / "results"
 ORDER = [
     "fig5_construction_time",
     "fig6_index_size",
-    "build_hotpath",
     "table4_graph_stats",
     "fig7_qps_recall",
     "fig8_speedup_recall",
@@ -44,10 +43,6 @@ ORDER = [
     "table23_randomness",
     "ablations",
     "observability_overhead",
-    "compressed_traversal",
-    "sharded",
-    "updates",
-    "serving",
 ]
 
 

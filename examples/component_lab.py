@@ -19,7 +19,7 @@ print(f"benchmark defaults (Table 13): {BENCHMARK_DEFAULTS}\n")
 def evaluate(label, **swap):
     algorithm = BenchmarkAlgorithm(**swap, seed=0)
     algorithm.build(dataset.base)
-    stats = algorithm.batch_search(
+    stats = algorithm.evaluate(
         dataset.queries, dataset.ground_truth, k=10, ef=60
     )
     print(

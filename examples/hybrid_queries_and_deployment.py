@@ -53,7 +53,7 @@ for idx, dist in zip(result.ids, result.dists):
 
 # 3. storage modelling ------------------------------------------------------
 print("\nmodelled per-query latency by storage tier:")
-stats = index.batch_search(dataset.queries, dataset.ground_truth, k=10, ef=60)
+stats = index.evaluate(dataset.queries, dataset.ground_truth, k=10, ef=60)
 for profile_cls in (StorageProfile.ram, StorageProfile.ssd, StorageProfile.hdd):
     storage = profile_cls()
     estimate = DiskIOModel(storage).estimate(stats)

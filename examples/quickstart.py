@@ -27,7 +27,7 @@ print(f"distance computations for this query: {result.ndc} of {dataset.n}")
 print(f"recall@10: {recall_at_k(result.ids, dataset.ground_truth[0], 10):.2f}")
 
 # Batch evaluation over all queries.
-stats = index.batch_search(dataset.queries, dataset.ground_truth, k=10, ef=60)
+stats = index.evaluate(dataset.queries, dataset.ground_truth, k=10, ef=60)
 print(
     f"batch: recall={stats.recall:.3f}  QPS={stats.qps:.0f}  "
     f"speedup over linear scan={stats.speedup:.0f}x"

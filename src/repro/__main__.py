@@ -163,12 +163,12 @@ def _cmd_eval(args) -> int:
             path = Path(tmp) / "index.npz"
             save_index(index, path, vector_tier="sidecar")
             index = load_index(path, mmap_vectors=True)
-            stats = index.batch_search(
+            stats = index.evaluate(
                 dataset.queries, dataset.ground_truth, k=args.k, ef=args.ef,
                 compressed=args.compressed, rerank_factor=args.rerank_factor,
             )
     else:
-        stats = index.batch_search(
+        stats = index.evaluate(
             dataset.queries, dataset.ground_truth, k=args.k, ef=args.ef,
             compressed=args.compressed, rerank_factor=args.rerank_factor,
         )

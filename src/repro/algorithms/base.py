@@ -3,7 +3,7 @@
 ``build`` constructs the graph index (and any C4 auxiliary structure)
 over a dataset; ``search`` answers one query, charging *all* distance
 evaluations — seed acquisition included — to a per-query counter so the
-Speedup/NDC numbers match the paper's accounting.  ``batch_search``
+Speedup/NDC numbers match the paper's accounting.  ``evaluate``
 aggregates the per-query statistics the evaluation section reports.
 """
 
@@ -955,7 +955,7 @@ class GraphANNS:
             budget=budget,
         )
 
-    def batch_search(
+    def evaluate(
         self,
         queries: np.ndarray,
         ground_truth: np.ndarray,
@@ -964,8 +964,11 @@ class GraphANNS:
         compressed: bool = False,
         rerank_factor: int | None = None,
     ) -> BatchStats:
-        """Search a batch and aggregate recall/QPS/NDC/speedup.
+        """Score a query set against ground truth: recall/QPS/NDC/speedup.
 
+        Queries run one at a time through :meth:`search`, so QPS and the
+        latency percentiles are the sequential evaluation-section
+        numbers; :meth:`search_batch` is the batch API.
         ``compressed``/``rerank_factor`` select per-query ADC traversal
         (see :meth:`search`); the reported ``mean_ndc`` then covers only
         true distance computations, matching the paper's accounting.

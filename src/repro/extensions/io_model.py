@@ -16,8 +16,8 @@ reads only resident uint8 codes and its per-query LUT, so the storage
 tier is touched *once per re-ranked candidate* instead of once per hop
 — ``rerank_factor * k`` random row reads per query, independent of
 ``ef``.  :meth:`DiskIOModel.estimate_compressed` prices that regime;
-``benchmarks/bench_compressed_traversal.py`` validates the predicted
-read count against the measured ``rerank_ndc``.
+``tests/test_compressed.py::TestPersistence::test_mmap_rerank_reads_match_io_model``
+checks the predicted read count against the measured ``rerank_ndc``.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class DiskIOModel:
         ef: int | None = None,
     ) -> IOEstimate:
         """Measure a query batch and apply the cost model."""
-        stats = index.batch_search(
+        stats = index.evaluate(
             dataset.queries, dataset.ground_truth, k=k, ef=ef
         )
         return self.estimate(stats)

@@ -45,7 +45,7 @@ def sweep_recall_curve(
     """Evaluate the tradeoff curve over an ``ef`` grid (ascending)."""
     points = []
     for ef in ef_grid:
-        stats = algorithm.batch_search(
+        stats = algorithm.evaluate(
             dataset.queries, dataset.ground_truth, k=k, ef=ef
         )
         points.append(
@@ -86,7 +86,7 @@ def candidate_size_for_recall(
     """
     last: BatchStats | None = None
     for ef in ef_grid:
-        stats = algorithm.batch_search(
+        stats = algorithm.evaluate(
             dataset.queries, dataset.ground_truth, k=k, ef=ef
         )
         last = stats

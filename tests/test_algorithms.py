@@ -41,7 +41,7 @@ class TestRegistry:
 class TestEveryAlgorithm:
     def test_recall_on_easy_data(self, name, easy_dataset, built_indexes):
         algorithm = built_indexes[name]
-        stats = algorithm.batch_search(
+        stats = algorithm.evaluate(
             easy_dataset.queries, easy_dataset.ground_truth, k=10, ef=80
         )
         assert stats.recall >= 0.85, f"{name} recall {stats.recall}"
@@ -155,7 +155,7 @@ class TestAlgorithmSpecifics:
 
 class TestBatchSearch:
     def test_speedup_definition(self, easy_dataset, built_indexes):
-        stats = built_indexes["hnsw"].batch_search(
+        stats = built_indexes["hnsw"].evaluate(
             easy_dataset.queries, easy_dataset.ground_truth, k=10, ef=40
         )
         assert stats.speedup == pytest.approx(
@@ -164,10 +164,10 @@ class TestBatchSearch:
 
     def test_recall_monotone_in_ef(self, easy_dataset, built_indexes):
         algorithm = built_indexes["nsg"]
-        low = algorithm.batch_search(
+        low = algorithm.evaluate(
             easy_dataset.queries, easy_dataset.ground_truth, k=10, ef=10
         )
-        high = algorithm.batch_search(
+        high = algorithm.evaluate(
             easy_dataset.queries, easy_dataset.ground_truth, k=10, ef=120
         )
         assert high.recall >= low.recall

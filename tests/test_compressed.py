@@ -14,6 +14,7 @@ import pytest
 from repro import create
 from repro.batch import search_batch
 from repro.compressed import DEFAULT_RERANK_FACTOR, rerank_exact
+from repro.extensions.io_model import DiskIOModel, StorageProfile
 from repro.io import load_index, save_index
 
 
@@ -81,6 +82,7 @@ class TestCompressedSearch:
         np.testing.assert_allclose(result.dists, expected, rtol=1e-6)
         assert (np.diff(result.dists) >= 0).all()
 
+    @pytest.mark.slow
     def test_exact_path_unchanged_by_tier(self, easy_dataset):
         plain = create("nsg", seed=3)
         plain.build(easy_dataset.base)
@@ -126,6 +128,7 @@ class TestBitIdentity:
             assert outputs[0][2] == outputs[1][2]
 
     @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.slow
     def test_batch_matches_sequential(self, easy_dataset, workers):
         def fresh():
             index = create("nsg", seed=3)
@@ -154,6 +157,7 @@ class TestBitIdentity:
             assert r.ndc == batch.ndc[i]
 
 
+@pytest.mark.slow
 class TestTombstones:
     def test_deleted_never_returned(self, easy_dataset):
         index = create("nsg", seed=3)
@@ -201,6 +205,7 @@ class TestPersistence:
                                compressed=True)
         assert result.adc_lookups > 0 and len(result.ids) == 5
 
+    @pytest.mark.slow
     def test_v3_written_without_tier(self, easy_dataset, tmp_path):
         index = create("nsg", seed=3)
         index.build(easy_dataset.base)
@@ -226,6 +231,28 @@ class TestPersistence:
             np.testing.assert_array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.dists, b.dists)
 
+    def test_mmap_rerank_reads_match_io_model(self, compressed_index,
+                                              easy_dataset, tmp_path):
+        """Only the exact re-rank touches the mapped float32 tier: each
+        query reads ``min(rerank_factor * k, n)`` rows, the count the
+        I/O model prices, while codes + codebooks stay resident."""
+        k, factor = 10, 4
+        path = tmp_path / "side.npz"
+        save_index(compressed_index, path, vector_tier="sidecar")
+        mapped = load_index(path, mmap_vectors=True)
+        result = search_batch(
+            mapped, easy_dataset.queries, k=k, ef=60, workers=2,
+            compressed=True, rerank_factor=factor,
+        )
+        reads = min(factor * k, len(mapped.data))
+        np.testing.assert_array_equal(result.rerank_ndc, reads)
+        estimate = DiskIOModel(StorageProfile.ssd()).estimate_compressed(
+            float(result.adc_lookups.mean()), float(result.rerank_ndc.mean())
+        )
+        assert estimate.io_count == reads
+        assert mapped.compressed_tier.memory_bytes() < mapped.data.nbytes / 3
+
+    @pytest.mark.slow
     def test_verify_repair_drops_bad_tier(self, easy_dataset):
         from repro.resilience import verify_index
 
@@ -250,6 +277,7 @@ class TestLifecycle:
         index.insert(easy_dataset.queries[0])
         assert index.compressed_tier is None
 
+    @pytest.mark.slow
     def test_reorder_permutes_tier(self, easy_dataset):
         index = create("nsg", seed=3)
         index.build(easy_dataset.base)

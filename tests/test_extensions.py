@@ -98,7 +98,7 @@ class TestIOModel:
 
     def test_slower_storage_costs_more(self, world):
         ds, index, _ = world
-        stats = index.batch_search(ds.queries, ds.ground_truth, k=10, ef=40)
+        stats = index.evaluate(ds.queries, ds.ground_truth, k=10, ef=40)
         ssd = DiskIOModel(StorageProfile.ssd()).estimate(stats)
         hdd = DiskIOModel(StorageProfile.hdd()).estimate(stats)
         assert hdd.latency_s > ssd.latency_s
@@ -106,7 +106,7 @@ class TestIOModel:
     def test_path_length_dominates_on_disk(self, world):
         """Table 7 S3's rationale: on slow storage, hops dominate NDC."""
         ds, index, _ = world
-        stats = index.batch_search(ds.queries, ds.ground_truth, k=10, ef=40)
+        stats = index.evaluate(ds.queries, ds.ground_truth, k=10, ef=40)
         hdd = DiskIOModel(StorageProfile.hdd()).estimate(stats)
         io_part = hdd.io_count * StorageProfile.hdd().read_latency_s
         compute_part = hdd.ndc * StorageProfile.hdd().compute_per_distance_s

@@ -1,5 +1,9 @@
 """Tests for index save/load round-trips."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,10 +33,10 @@ class TestRoundTrip:
         path = tmp_path / "index.npz"
         save_index(built, path)
         loaded = load_index(path)
-        stats = loaded.batch_search(
+        stats = loaded.evaluate(
             tiny_dataset.queries, tiny_dataset.ground_truth, k=10, ef=60
         )
-        baseline = built.batch_search(
+        baseline = built.evaluate(
             tiny_dataset.queries, tiny_dataset.ground_truth, k=10, ef=60
         )
         assert stats.recall >= baseline.recall - 0.05
@@ -132,3 +136,83 @@ class TestRoundTrip:
         assert loaded.num_deleted == 1
         result = loaded.search(tiny_dataset.queries[0], k=10, ef=40)
         assert victim not in result.ids
+
+
+# -- golden archives written by each format's own release ----------------
+
+FORMATS = Path(__file__).parent / "data" / "formats"
+GOLDEN = json.loads((FORMATS / "golden.json").read_text())
+
+
+def _digest(array) -> str:
+    """Same digest as ``scripts/gen_format_archives.py``: shape, dtype
+    and values, with ints widened to int64."""
+    array = np.asarray(array)
+    if array.dtype.kind in "iu":
+        array = array.astype(np.int64)
+    array = np.ascontiguousarray(array)
+    h = hashlib.sha256(str(array.shape).encode())
+    h.update(str(array.dtype).encode())
+    h.update(array.tobytes())
+    return h.hexdigest()
+
+
+def _held_arrays(index) -> dict:
+    """The arrays a loaded index holds, under their archive key names."""
+    offsets, neighbors = index.graph.csr()
+    held = {"data": index.data, "offsets": offsets, "neighbors": neighbors,
+            "deleted": index._deleted}
+    if isinstance(index.seed_provider, FixedSeeds):
+        held["seeds"] = index.seed_provider.acquire(None)
+    if index._id_map is not None:
+        held["id_map"] = index._id_map
+    if index.compressed_tier is not None:
+        held["pq_codes"], held["pq_codebook"], _ = (
+            index.compressed_tier.export_state()
+        )
+    if index._delta is not None:
+        (held["delta_vectors"], held["delta_indptr"],
+         held["delta_neighbors"], held["delta_deleted"], _) = (
+            index._delta.export_state()
+        )
+    return held
+
+
+def _search_digest(index, compressed: bool = False) -> str:
+    spec = GOLDEN["queries"]
+    rng = np.random.default_rng(spec["seed"])
+    queries = rng.standard_normal(
+        (spec["num"], GOLDEN["dataset"]["dim"])
+    ).astype(np.float32)
+    h = hashlib.sha256()
+    for query in queries:
+        result = index.search(query, k=spec["k"], ef=spec["ef"],
+                              compressed=compressed)
+        h.update(np.asarray(result.ids, dtype=np.int64).tobytes())
+        h.update(np.int64(result.ndc).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+def test_golden_archive_loads(version):
+    golden = GOLDEN["archives"][f"v{version}"]
+    index = load_index(FORMATS / f"v{version}.npz", verify=True)
+    held = _held_arrays(index)
+    stored = golden["arrays"]
+    # a seed snapshot is only read back when no seed recipe was saved
+    assert set(stored) - set(held) <= {"seeds"}
+    for name, want in stored.items():
+        if name in held:
+            assert _digest(held[name]) == want, f"v{version}: {name}"
+    if version == 1:
+        assert isinstance(index.seed_provider, FixedSeeds)
+    if version == 2:
+        assert index._id_map is None
+    if version >= 3:
+        assert index._id_map is not None
+    if version == 4:
+        assert index.compressed_tier is not None
+        assert _search_digest(index, compressed=True) == golden["search_compressed"]
+    if version == 5:
+        assert index.delta_points > 0 and index.num_deleted == 1
+    assert _search_digest(index) == golden["search"]

@@ -110,7 +110,7 @@ class TestSearchMemory:
 
 class TestLatencyPercentiles:
     def test_percentiles_populated_and_ordered(self, easy_dataset, built_indexes):
-        stats = built_indexes["hnsw"].batch_search(
+        stats = built_indexes["hnsw"].evaluate(
             easy_dataset.queries, easy_dataset.ground_truth, k=10, ef=40
         )
         assert stats.latency_p50_ms > 0

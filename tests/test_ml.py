@@ -90,6 +90,7 @@ class TestML3:
         with pytest.raises(RuntimeError):
             wrapper.search(np.zeros(24, dtype=np.float32))
 
+    @pytest.mark.slow
     def test_search_in_reduced_space(self, world):
         ds, _ = world
         wrapper = ML3DimensionReduction(

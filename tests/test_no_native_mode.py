@@ -32,7 +32,14 @@ DUAL_MODE_SUITES = [
 ]
 
 
+@pytest.mark.slow
 @pytest.mark.faults
+@pytest.mark.skipif(
+    os.environ.get("REPRO_NO_NATIVE") == "1",
+    reason="REPRO_NO_NATIVE=1 is already set: this run executes the dual-mode "
+           "suites in-process in pure-NumPy mode, so the subprocess would "
+           "repeat them unchanged",
+)
 def test_suites_pass_without_native_kernel():
     env = dict(os.environ)
     env["REPRO_NO_NATIVE"] = "1"

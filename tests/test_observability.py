@@ -157,6 +157,7 @@ class TestSwitches:
 
 class TestBitIdentity:
     @pytest.mark.parametrize("name", ["nsg", "hnsw", "hcnng", "vamana"])
+    @pytest.mark.slow
     def test_search_identical_with_and_without(self, small_data, name):
         data, queries = small_data
         obs.disable()
@@ -173,6 +174,7 @@ class TestBitIdentity:
             assert got.ndc == expect.ndc
             assert got.hops == expect.hops
 
+    @pytest.mark.slow
     def test_batch_identical_with_and_without(self, small_data):
         data, queries = small_data
         obs.disable()

@@ -75,7 +75,7 @@ class TestIndexClaims:
         }
         speedup = {}
         for name in names:
-            stats = built_indexes[name].batch_search(
+            stats = built_indexes[name].evaluate(
                 easy_dataset.queries, easy_dataset.ground_truth, k=10, ef=40
             )
             # compare at comparable accuracy: only high-recall runs count
@@ -105,7 +105,7 @@ class TestSearchClaims:
             # single 25-query batch takes only a few milliseconds
             best = None
             for _ in range(3):
-                stats = index.batch_search(
+                stats = index.evaluate(
                     easy_dataset.queries, easy_dataset.ground_truth, k=10, ef=ef
                 )
                 if best is None or stats.qps > best.qps:

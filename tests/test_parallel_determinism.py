@@ -48,6 +48,7 @@ def _assert_identical(a, b, label):
     )
 
 
+@pytest.mark.slow
 class TestThreadCountInvariance:
     """search_batch results do not depend on workers or repetition."""
 
@@ -95,6 +96,7 @@ class TestThreadCountInvariance:
 
 
 @pytest.mark.skipif(_native.LIB is None, reason="native kernel unavailable")
+@pytest.mark.slow
 class TestKernelThreadPool:
     """The raw MT kernel against the serial kernel, forcing real pthreads
     (search_batch clamps to physical cores; this bypasses the clamp)."""
@@ -152,6 +154,7 @@ class TestKernelThreadPool:
         assert (busy >= 0).all() and busy.sum() > 0
 
 
+@pytest.mark.slow
 class TestReorderTransparency:
     """reorder() must be invisible to callers of search/search_batch."""
 
@@ -206,6 +209,7 @@ class TestReorderTransparency:
             index.reorder("zorder")
 
 
+@pytest.mark.slow
 class TestReorderPersistence:
     """Format v3: the id map survives save/load; v2 files still load."""
 

@@ -73,7 +73,7 @@ class TestBenchmarkFramework:
     def test_default_benchmark_works(self, tiny_dataset):
         bench = BenchmarkAlgorithm(seed=0, init_k=10, max_degree=10)
         bench.build(tiny_dataset.base)
-        stats = bench.batch_search(
+        stats = bench.evaluate(
             tiny_dataset.queries, tiny_dataset.ground_truth, k=10, ef=40
         )
         assert stats.recall >= 0.8
@@ -89,7 +89,7 @@ class TestBenchmarkFramework:
     def test_c2_swaps(self, tiny_dataset, c2):
         bench = BenchmarkAlgorithm(c2=c2, seed=0, init_k=10, max_degree=10)
         bench.build(tiny_dataset.base)
-        stats = bench.batch_search(
+        stats = bench.evaluate(
             tiny_dataset.queries, tiny_dataset.ground_truth, k=10, ef=40
         )
         assert stats.recall > 0.5

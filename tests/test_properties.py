@@ -109,7 +109,7 @@ class TestRecallMonotonicity:
         algorithm = built_indexes[name]
         recalls = []
         for ef in (10, 30, 90, 270):
-            stats = algorithm.batch_search(
+            stats = algorithm.evaluate(
                 easy_dataset.queries, easy_dataset.ground_truth, k=10, ef=ef
             )
             recalls.append(round(stats.recall, 6))

@@ -350,6 +350,7 @@ class TestCoalescerResilience:
 # -- composition: sharded and mutable indexes ---------------------------
 
 
+@pytest.mark.slow
 class TestComposition:
     def test_sharded_index_under_front_door(self, query_set):
         from repro.sharding import ShardedIndex
@@ -464,6 +465,35 @@ class TestHTTPServer:
             want = sequential_reference[i]
             assert body["ids"] == [int(v) for v in want.ids]
             assert body["ndc"] == want.ndc
+
+    def test_keepalive_connection_survives_400_and_tiny_deadline(
+        self, server, query_set, sequential_reference
+    ):
+        """One keep-alive connection: a 0.2 ms deadline is answered
+        (degraded) or expired in the queue, never an error; a malformed
+        request 400s; the same connection then still serves."""
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+
+        def post(payload):
+            conn.request("POST", "/search", json.dumps(payload),
+                         {"Content-Type": "application/json"})
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+
+        try:
+            status, body = post({"vector": query_set[0].tolist(),
+                                 "k": K, "ef": EF, "deadline_ms": 0.2})
+            assert status in (200, 504), (status, body)
+            status, body = post({"vector": [1.0, 2.0]})
+            assert status == 400 and "error" in body
+            status, body = post({"vector": query_set[1].tolist(),
+                                 "k": K, "ef": EF})
+            assert status == 200, body
+            want = sequential_reference[1]
+            assert body["ids"] == [int(v) for v in want.ids]
+            assert body["ndc"] == want.ndc
+        finally:
+            conn.close()
 
     def test_operational_endpoints(self, server):
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)

@@ -19,6 +19,7 @@ import pytest
 
 from repro import create
 from repro import faults
+from repro import observability as obs
 from repro.batch import search_batch
 from repro.io import load_sharded, save_sharded
 from repro.metrics.recall import recall_at_k
@@ -133,6 +134,8 @@ def test_full_fanout_recall_is_strong(easy_dataset, sharded4):
         for i in range(len(easy_dataset.queries))
     ]
     assert float(np.mean(recalls)) >= 0.8
+    assert result.shard_report.quarantined == ()
+    assert not result.degraded.any()
 
 
 def test_global_ids_are_valid(easy_dataset, sharded4):
@@ -182,6 +185,56 @@ def test_slow_shard_times_out_and_is_quarantined(easy_dataset, sharded4):
     quarantined = dict(result.shard_report.quarantined)
     assert 0 in quarantined and "timeout" in quarantined[0]
     assert set(result.shard_report.survivors) == {1, 2, 3}
+
+
+@pytest.fixture(scope="module")
+def dead_and_slow_batch(easy_dataset, sharded4):
+    """One batch with shard 1 killed and shard 2 slowed past its
+    timeout, run with metrics on; returns the result and the scrape."""
+    was = (obs.enabled(), obs.tracing())
+    obs.reset()
+    obs.enable(metrics=True, trace=was[1])
+    try:
+        plan = faults.FaultPlan().fail_shard(1).slow_shard(2, 1.0)
+        with faults.inject(plan):
+            result = sharded4.search_batch(
+                easy_dataset.queries[:12], k=10, fanout=4,
+                shard_timeout_s=0.3,
+            )
+        scrape = obs.prometheus_text()
+    finally:
+        obs.reset()
+        if any(was):
+            obs.enable(metrics=was[0], trace=was[1])
+        else:
+            obs.disable()
+    return result, scrape
+
+
+@pytest.mark.faults
+def test_dead_and_slow_shards_quarantined_in_one_batch(sharded4,
+                                                       dead_and_slow_batch):
+    result, _ = dead_and_slow_batch
+    quarantined = dict(result.shard_report.quarantined)
+    assert set(quarantined) == {1, 2}
+    assert "injected fault" in quarantined[1]
+    assert "timeout" in quarantined[2]
+    assert result.degraded.all()
+    assert (result.ids >= 0).all()          # partial results fill top-k
+    assert not np.isin(result.ids, sharded4.shard_ids[1]).any()
+
+
+@pytest.mark.faults
+def test_shard_faults_advance_prometheus_counters(dead_and_slow_batch):
+    _, scrape = dead_and_slow_batch
+    for metric in ("repro_shard_quarantines_total",
+                   "repro_sharded_degraded_total",
+                   "repro_sharded_queries_total"):
+        values = [float(line.rsplit(" ", 1)[1])
+                  for line in scrape.splitlines()
+                  if line.startswith(metric)]
+        assert values, f"{metric} missing from the scrape"
+        assert sum(values) > 0, f"{metric} never advanced"
 
 
 @pytest.mark.faults
@@ -447,6 +500,7 @@ def test_fault_plan_save_stage_hook():
 # -- online mutability ---------------------------------------------------
 
 
+@pytest.mark.slow
 def test_sharded_insert_routes_and_is_findable(easy_dataset):
     index = ShardedIndex.build(
         easy_dataset.base, num_shards=4, algorithm=ALGO, seed=SEED
@@ -468,6 +522,7 @@ def test_sharded_insert_routes_and_is_findable(easy_dataset):
     assert len(index.shard_ids[s]) == index.shards[s].num_points
 
 
+@pytest.mark.slow
 def test_sharded_delete_routes_to_owning_shard(easy_dataset):
     index = ShardedIndex.build(
         easy_dataset.base, num_shards=4, algorithm=ALGO, seed=SEED
@@ -486,6 +541,7 @@ def test_sharded_delete_routes_to_owning_shard(easy_dataset):
         index.delete(10**9)
 
 
+@pytest.mark.slow
 def test_sharded_insert_visible_to_hedged_replicas(easy_dataset):
     index = ShardedIndex.build(
         easy_dataset.base, num_shards=2, algorithm=ALGO, seed=SEED
@@ -506,6 +562,7 @@ def test_sharded_insert_visible_to_hedged_replicas(easy_dataset):
         assert local in replica.search(vec, k=3, ef=60).ids
 
 
+@pytest.mark.slow
 def test_sharded_consolidate_folds_all_deltas(easy_dataset):
     index = ShardedIndex.build(
         easy_dataset.base, num_shards=3, algorithm=ALGO, seed=SEED
@@ -520,6 +577,7 @@ def test_sharded_consolidate_folds_all_deltas(easy_dataset):
         assert gid in index.search(vec, k=3, ef=60).ids
 
 
+@pytest.mark.slow
 def test_sharded_unconsolidated_delta_roundtrip(easy_dataset, tmp_path):
     index = ShardedIndex.build(
         easy_dataset.base, num_shards=2, algorithm=ALGO, seed=SEED

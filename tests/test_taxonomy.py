@@ -44,6 +44,7 @@ class TestRoadmap:
             assert parent != child
 
 
+@pytest.mark.slow
 class TestComponentProfiles:
     def test_all_sixteen_algorithms_profiled(self):
         assert len(COMPONENT_PROFILES) == 16

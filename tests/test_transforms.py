@@ -83,6 +83,7 @@ class TestMetricIndex:
         expected = set(np.argsort(-(vectors @ query))[:10].tolist())
         assert len(expected & set(result.ids.tolist())) >= 8
 
+    @pytest.mark.slow
     def test_works_with_any_inner_algorithm(self, vectors):
         index = MetricIndex(lambda: create("nsg", seed=1), "cosine").build(
             vectors

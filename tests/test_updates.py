@@ -42,7 +42,7 @@ class TestInsert:
             index.insert(vector)
         full_base = np.vstack([world.base, extra])
         gt, _ = brute_force_knn(full_base, world.queries, 10)
-        stats = index.batch_search(world.queries, gt, k=10, ef=80)
+        stats = index.evaluate(world.queries, gt, k=10, ef=80)
         assert stats.recall >= 0.85
 
     def test_wrong_dim_rejected(self, world):
@@ -64,6 +64,7 @@ class TestInsert:
         result = index.search(new_vector, k=3, ef=40)
         assert new_id in result.ids
 
+    @pytest.mark.slow
     def test_nan_insert_rejected(self, world):
         """A NaN insert must fail up front on every insert path — it
         would silently poison greedy construction otherwise."""
@@ -190,9 +191,10 @@ class TestDeltaTier:
         assert index.delta_points == 30
         full_base = np.vstack([world.base, extra])
         gt, _ = brute_force_knn(full_base, world.queries, 10)
-        stats = index.batch_search(world.queries, gt, k=10, ef=80)
+        stats = index.evaluate(world.queries, gt, k=10, ef=80)
         assert stats.recall >= 0.85
 
+    @pytest.mark.slow
     def test_batch_matches_sequential_with_delta(self, world):
         """search_batch's two-tier merge is the sequential merge."""
         from repro.batch import search_batch
@@ -235,6 +237,7 @@ class TestDeltaTier:
         assert index._delta is None
 
 
+@pytest.mark.slow
 class TestConsolidation:
     def test_consolidate_matches_fresh_build(self, world):
         """Consolidation rebuilds through the same phased engine with
