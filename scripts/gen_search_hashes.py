@@ -1,0 +1,122 @@
+"""Record pinned search-output hashes for the routing regression test.
+
+Builds every registry algorithm, k-DR with range-search routing and the
+§5.4 framework with each C7 choice on the pinned dataset of
+``scripts/gen_build_hashes.py``, answers a fixed query set once through a
+sequential ``search()`` loop and once through ``search_batch()``, and
+writes a ``{mode: {config: {"search": {...}, "batch": {...}}}}`` map of
+sha256 digests (ids, dists, per-query NDC, per-query hops) to
+``tests/data/search_hashes.json``.  Run once per mode::
+
+    PYTHONPATH=src python scripts/gen_search_hashes.py
+    REPRO_NO_NATIVE=1 PYTHONPATH=src python scripts/gen_search_hashes.py
+
+The hashes pin the C7 routing of every algorithm: a refactor of the
+routing layer must keep them stable.  Like the build hashes they are
+BLAS-rounding-sensitive (the native kernel and NumPy differ in the last
+ulp of a distance), hence the per-mode tables.
+"""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro import _native  # noqa: E402
+from repro.algorithms.registry import ALGORITHMS, create  # noqa: E402
+from repro.pipeline.framework import C7_CHOICES, BenchmarkAlgorithm  # noqa: E402
+
+OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "search_hashes.json"
+
+#: the build-hash dataset, plus a fixed query set drawn beside it
+DATASET_N, DATASET_D, DATASET_SEED = 300, 24, 7
+QUERY_COUNT, QUERY_SEED = 30, 8
+K, EF = 10, 40
+
+CONFIGS = (
+    sorted(ALGORITHMS) + ["kdr-rs"] + [f"framework-{c7}" for c7 in C7_CHOICES]
+)
+
+
+def pinned_dataset() -> np.ndarray:
+    rng = np.random.default_rng(DATASET_SEED)
+    return rng.standard_normal((DATASET_N, DATASET_D)).astype(np.float32)
+
+
+def pinned_queries() -> np.ndarray:
+    rng = np.random.default_rng(QUERY_SEED)
+    return rng.standard_normal((QUERY_COUNT, DATASET_D)).astype(np.float32)
+
+
+def make_config(config: str):
+    if config == "kdr-rs":
+        return create("kdr", seed=0, routing="rs")
+    if config.startswith("framework-"):
+        return BenchmarkAlgorithm(seed=0, c7=config.removeprefix("framework-"))
+    return create(config, seed=0)
+
+
+def digest(ids, dists, ndc, hops) -> dict[str, str]:
+    arrays = {
+        "ids": np.asarray(ids, dtype=np.int64),
+        "dists": np.asarray(dists, dtype=np.float64),
+        "ndc": np.asarray(ndc, dtype=np.int64),
+        "hops": np.asarray(hops, dtype=np.int64),
+    }
+    return {
+        key: hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+        for key, arr in arrays.items()
+    }
+
+
+def search_outputs(config: str) -> dict[str, dict[str, str]]:
+    """Hashes of one config's ``search()`` loop and ``search_batch()``.
+
+    Both runs start from the same seed-provider state, so stateful
+    random seeders draw identical seeds in each.
+    """
+    index = make_config(config)
+    index.build(pinned_dataset())
+    queries = pinned_queries()
+    provider = copy.deepcopy(index.seed_provider)
+    ids = np.full((QUERY_COUNT, K), -1, dtype=np.int64)
+    dists = np.full((QUERY_COUNT, K), np.inf)
+    ndc, hops = [], []
+    for i, query in enumerate(queries):
+        result = index.search(query, k=K, ef=EF)
+        ids[i, : len(result.ids)] = result.ids
+        dists[i, : len(result.dists)] = result.dists
+        ndc.append(result.ndc)
+        hops.append(result.hops)
+    index.seed_provider = provider
+    batch = index.search_batch(queries, k=K, ef=EF)
+    return {
+        "search": digest(ids, dists, ndc, hops),
+        "batch": digest(batch.ids, batch.dists, batch.ndc, batch.hops),
+    }
+
+
+def main() -> None:
+    mode = "no_native" if os.environ.get("REPRO_NO_NATIVE") else "native"
+    if mode == "native" and _native.LIB is None:
+        raise SystemExit("native mode requested but the kernel failed to load")
+    recorded = json.loads(OUT.read_text()) if OUT.exists() else {}
+    recorded[mode] = {}
+    for config in CONFIGS:
+        recorded[mode][config] = search_outputs(config)
+        print(f"{config:18s} {recorded[mode][config]['search']['ids'][:16]}")
+    OUT.parent.mkdir(parents=True, exist_ok=True)
+    OUT.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {mode} hashes to {OUT}")
+
+
+if __name__ == "__main__":
+    main()
