@@ -658,12 +658,14 @@ def sq_dists_to_rows(
 
 
 def _walk(ctx, indptr, indices, counts, query64, query_sq, seeds, ef,
-          max_ndc=-1, max_hops=-1, vis_ids=None, vis_sq=None):
+          max_ndc=-1, max_hops=-1, deadline=0.0, vis_ids=None, vis_sq=None):
     """One serial C walk on ``ctx``'s scratch at its current generation.
 
     Scores exactly against ``ctx.data``, or — when ``ctx.compressed``
     is set — from the tier's uint8 codes through ``ctx.lut`` without
-    reading a float32 row.  Returns ``(rlen, out_ids, out_sq, stats)``.
+    reading a float32 row.  ``deadline`` is an absolute
+    ``time.monotonic()`` second count (``<= 0`` means none).  Returns
+    ``(rlen, out_ids, out_sq, stats)``.
     """
     cd, ci, rd, ri = ctx.native_scratch(ef)
     out_ids = np.empty(ef, dtype=np.int32)
@@ -680,7 +682,7 @@ def _walk(ctx, indptr, indices, counts, query64, query_sq, seeds, ef,
         pqm, pqk = codes.shape[1], lut.shape[1]
     rlen = LIB.best_first(
         data, d, norms, indptr, indices, counts, codes, lut, pqm, pqk,
-        query64, query_sq, seeds, len(seeds), ef, max_ndc, max_hops, 0.0,
+        query64, query_sq, seeds, len(seeds), ef, max_ndc, max_hops, deadline,
         ctx.visit_gen, ctx.generation, cd, ci, rd, ri, out_ids, out_sq,
         vis_ids, vis_sq, stats,
     )
@@ -688,7 +690,7 @@ def _walk(ctx, indptr, indices, counts, query64, query_sq, seeds, ef,
 
 
 def best_first(ctx, graph, query64, query_sq, seeds, ef,
-               max_ndc=-1, max_hops=-1):
+               max_ndc=-1, max_hops=-1, deadline=0.0):
     """Run the whole best-first search in C against a frozen CSR graph.
 
     ``ctx`` is a :class:`repro.components.context.SearchContext` whose
@@ -696,14 +698,16 @@ def best_first(ctx, graph, query64, query_sq, seeds, ef,
     ``ctx.compressed`` set the walk scores ADC surrogates from the
     tier's codes and ``ctx.lut``, and the NDC stat counts table
     lookups.  Negative ``max_ndc`` / ``max_hops`` mean unlimited
-    (QueryBudget caps).  Returns ``(ids, sq_dists, ndc, hops, visited,
-    budget_fired)`` where ``budget_fired`` is ``None``, ``"ndc"`` or
-    ``"hops"``.
+    (QueryBudget caps); ``deadline`` is an absolute ``time.monotonic()``
+    second count, checked every few expansions (``<= 0`` means none).
+    Returns ``(ids, sq_dists, ndc, hops, visited, budget_fired)`` where
+    ``budget_fired`` is ``None``, ``"ndc"``, ``"hops"`` or
+    ``"deadline"``.
     """
     indptr, indices = graph.csr()
     rlen, out_ids, out_sq, stats = _walk(
         ctx, indptr, indices, None, query64, query_sq, seeds, ef,
-        max_ndc, max_hops,
+        max_ndc, max_hops, deadline,
     )
     return (
         out_ids[:rlen].astype(np.int64),

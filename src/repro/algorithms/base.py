@@ -18,7 +18,7 @@ import numpy as np
 
 from repro import observability as obs
 from repro.components.context import BuildContext, SearchContext
-from repro.components.routing import SearchResult, best_first_search
+from repro.components.routing import PLAIN, Route, SearchResult, best_first_search
 from repro.components.seeding import RandomSeeds, SeedProvider
 from repro.delta import DeltaTier
 from repro.distance import DistanceCounter
@@ -179,6 +179,10 @@ class GraphANNS:
 
     name = "base"
     default_ef = 40
+    #: C7 routing strategy of the default :meth:`_route`; algorithms
+    #: that route differently set a class constant or derive it from
+    #: their constructor parameters
+    route: Route = PLAIN
 
     def __init__(self, seed: int = 0, n_workers: int = 1):
         self.seed = seed
@@ -949,10 +953,12 @@ class GraphANNS:
         ctx: SearchContext | None = None,
         budget: QueryBudget | None = None,
     ) -> SearchResult:
-        """Default C7: best-first search; algorithms override as needed."""
+        """C7: the best-first walk along :attr:`route`.  Only algorithms
+        whose seed side does extra work (HNSW's upper-layer descent,
+        SPTAG's restarts) override this."""
         return best_first_search(
             self.graph, self.data, query, seeds, ef, counter, ctx=ctx,
-            budget=budget,
+            budget=budget, route=self.route,
         )
 
     def evaluate(

@@ -14,7 +14,7 @@ import numpy as np
 from repro.algorithms.base import GraphANNS
 from repro.components.refinement import map_refine
 from repro.components.refinement import select_rng as fast_select_rng
-from repro.components.routing import backtracking_search
+from repro.components.routing import Route
 from repro.components.selection import select_rng_heuristic
 from repro.components.seeding import RandomSeeds
 from repro.graphs.graph import Graph
@@ -77,8 +77,7 @@ class FANNG(GraphANNS):
 
         return [("c1", init_phase), ("c2+c3", prune_phase)]
 
-    def _route(self, query, seeds, ef, counter, ctx=None, budget=None):
-        return backtracking_search(
-            self.graph, self.data, query, seeds, ef, counter,
-            backtracks=self.backtracks, ctx=ctx, budget=budget,
-        )
+    @property
+    def route(self) -> Route:
+        """Best-first search with ``backtracks`` extra pops (C7_FANNG)."""
+        return Route(backtracks=self.backtracks)

@@ -10,11 +10,13 @@ search (§4.2 C7_HCNNG).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.algorithms.base import GraphANNS
 from repro.clustering import hierarchical_two_pivot_clusters
-from repro.components.routing import SearchResult, guided_search
+from repro.components.routing import Route
 from repro.components.seeding import KDTreeDescendSeeds
 from repro.graphs.graph import Graph
 from repro.graphs.mst import euclidean_mst
@@ -26,6 +28,8 @@ class HCNNG(GraphANNS):
     """Union of per-cluster MSTs with guided search."""
 
     name = "hcnng"
+    #: guided search: every expansion skips neighbors facing away
+    route = Route(guided_hops=math.inf)
 
     def __init__(
         self,
@@ -84,9 +88,3 @@ class HCNNG(GraphANNS):
             self.graph = graph
 
         return [("c2+c3", cluster_phase), ("c2+c3", cap_phase)]
-
-    def _route(self, query, seeds, ef, counter, ctx=None, budget=None) -> SearchResult:
-        return guided_search(
-            self.graph, self.data, query, seeds, ef, counter, ctx=ctx,
-            budget=budget,
-        )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import GraphANNS
-from repro.components.routing import SearchResult, range_search
+from repro.components.routing import PLAIN, Route
 from repro.components.selection import path_adjustment
 from repro.components.seeding import RandomSeeds
 from repro.graphs.graph import Graph
@@ -73,11 +73,7 @@ class KDR(GraphANNS):
             ("c5", undirect_phase),
         ]
 
-    def _route(self, query, seeds, ef, counter, ctx=None, budget=None) -> SearchResult:
+    @property
+    def route(self) -> Route:
         # the paper lists "BFS or RS" for k-DR (Table 9)
-        if self.routing == "rs":
-            return range_search(
-                self.graph, self.data, query, seeds, ef, counter,
-                epsilon=self.epsilon, ctx=ctx, budget=budget,
-            )
-        return super()._route(query, seeds, ef, counter, ctx=ctx, budget=budget)
+        return Route(epsilon=self.epsilon) if self.routing == "rs" else PLAIN

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import GraphANNS
-from repro.components.routing import SearchResult, range_search
+from repro.components.routing import Route, best_first_search
 from repro.components.selection import path_adjustment
 from repro.components.seeding import VPTreeSeeds
 from repro.distance import DistanceCounter
@@ -61,21 +61,20 @@ class _NGTBase(GraphANNS):
             entry = np.asarray(
                 [inserted[int(rng.integers(len(inserted)))]], dtype=np.int64
             )
-            result = range_search(
+            result = best_first_search(
                 graph, data, data[p], entry,
                 ef=max(self.ef_construction, m), counter=counter,
-                epsilon=self.epsilon,
+                route=self.route,
             )
             for neighbor in result.ids[:m]:
                 graph.add_undirected_edge(p, int(neighbor))
             inserted.append(p)
         return graph
 
-    def _route(self, query, seeds, ef, counter, ctx=None, budget=None) -> SearchResult:
-        return range_search(
-            self.graph, self.data, query, seeds, ef, counter,
-            epsilon=self.epsilon, ctx=ctx, budget=budget,
-        )
+    @property
+    def route(self) -> Route:
+        """Range search with this index's ε (C7_NGT)."""
+        return Route(epsilon=self.epsilon)
 
 
 class NGTPanng(_NGTBase):

@@ -24,7 +24,7 @@ from repro.components.candidates import candidates_by_expansion
 from repro.components.connectivity import ensure_reachable_from
 from repro.components.refinement import map_refine
 from repro.components.refinement import select_rng as fast_select_rng
-from repro.components.routing import SearchResult, two_stage_search
+from repro.components.routing import Route
 from repro.components.selection import select_rng_heuristic
 from repro.components.seeding import FixedSeeds
 from repro.graphs.graph import Graph
@@ -37,6 +37,9 @@ class OptimizedAlgorithm(GraphANNS):
     """The survey's own best-of-all-components design (§6)."""
 
     name = "oa"
+    #: two-stage routing: guided for the first max(4, ef // 2)
+    #: expansions, plain best-first after
+    route = Route(guided_hops=None)
 
     def __init__(
         self,
@@ -118,9 +121,3 @@ class OptimizedAlgorithm(GraphANNS):
             ("c4", entry_phase),
             ("c5", connect_phase),
         ]
-
-    def _route(self, query, seeds, ef, counter, ctx=None, budget=None) -> SearchResult:
-        return two_stage_search(
-            self.graph, self.data, query, seeds, ef, counter, ctx=ctx,
-            budget=budget,
-        )

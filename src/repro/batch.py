@@ -17,18 +17,18 @@ acquisition, hops, visited) identical to ``index.search`` query by
 query.
 
 Everything else takes the per-query path: indexes with a custom
-``_route``, traced runs, armed fault plans, kernel-less environments,
-and batches whose fused call raised.  A pool of ``workers`` threads
+``_route`` or a non-plain :class:`~repro.components.routing.Route`,
+traced runs, armed fault plans, kernel-less environments, and batches
+whose fused call raised.  A pool of ``workers`` threads
 runs ``index._route`` query by query, one
 :class:`~repro.components.context.SearchContext` per chunk, which
 reaches the serial C kernel whenever it can — so this path is
 bit-identical too, only slower.
 
-Budgets: the fused kernel enforces NDC caps, hop caps and wall-clock
-deadlines in C (deadlines checked every few expansions).  On the
-per-query path the serial kernel enforces NDC and hop caps; a query
-whose budget carries a deadline walks the NumPy frontier instead,
-which checks the clock between hops.
+Budgets: both the fused kernel and the serial kernel of the per-query
+path enforce NDC caps, hop caps and wall-clock deadlines in C
+(deadlines checked every few expansions); the NumPy frontier checks
+the clock between hops.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class BatchQueryResult:
 
 
 def _uses_default_route(index: GraphANNS) -> bool:
-    return type(index)._route is GraphANNS._route
+    return type(index)._route is GraphANNS._route and index.route.plain
 
 
 def _pack_seeds(seed_lists: list, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,9 +159,10 @@ def search_batch(
     default-routing indexes the whole batch runs below the interpreter:
     one ctypes call into the multi-threaded C kernel (``workers``
     pthreads, the GIL released once), bit-identical for any thread
-    count.  Custom ``_route`` implementations, traced runs, armed fault
-    plans and kernel-less environments use the per-query worker pool
-    instead, each chunk reusing one :class:`SearchContext`.
+    count.  Custom ``_route`` implementations, non-plain routes, traced
+    runs, armed fault plans and kernel-less environments use the
+    per-query worker pool instead, each chunk reusing one
+    :class:`SearchContext`.
 
     Resilience semantics:
 
@@ -179,10 +180,10 @@ def search_batch(
       each request's SLO deadline here.  Deadline budgets stay on the
       fused MT kernel: the C worker pool checks CLOCK_MONOTONIC
       coarsely (every few expansions) against each query's allowance,
-      measured from kernel entry.  On the per-query path a deadline
-      sends that query to the NumPy frontier, which measures from its
-      own route start; a deadline that never fires changes no bits
-      either way.
+      measured from kernel entry.  On the per-query path the serial
+      kernel (or the NumPy frontier) measures from that query's own
+      route start; a deadline that never fires changes no bits either
+      way.
     * A worker that raises mid-chunk does not sink the batch: the chunk
       is retried once, sequentially and in pure NumPy.  Queries that
       still fail get ``result.errors[i]`` set instead of propagating.

@@ -9,13 +9,10 @@ parts, which is what makes the §5.4 component-swapping study possible.
 
 from repro.components.context import SearchContext
 from repro.components.routing import (
+    Route,
     SearchResult,
     best_first_search,
-    range_search,
-    backtracking_search,
-    guided_search,
     iterated_search,
-    two_stage_search,
 )
 from repro.components.selection import (
     select_closest,
@@ -49,13 +46,10 @@ from repro.components.initialization import (
 
 __all__ = [
     "SearchContext",
+    "Route",
     "SearchResult",
     "best_first_search",
-    "range_search",
-    "backtracking_search",
-    "guided_search",
     "iterated_search",
-    "two_stage_search",
     "select_closest",
     "select_rng_heuristic",
     "select_angle_sum",

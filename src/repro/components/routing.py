@@ -1,18 +1,23 @@
 """C7 — routing strategies (§4.2, Definition 4.6/4.7, Appendix F).
 
-All strategies operate on a finalized :class:`~repro.graphs.graph.Graph`
-plus the raw vectors, count every distance evaluation through the
-supplied :class:`DistanceCounter`, and report the per-query search
-statistics the paper tracks: NDC, query path length (number of expanded
-vertices, the hop count that drives I/O on external storage — Table 5
-PL) and the number of visited vertices.
+The survey's routing variants are parameters of one candidate-set loop
+(Table 9: BFS / RS / GS), and here they are exactly that: a frozen
+:class:`Route` value (range-search ε, backtracks, guided hops) selects
+the stop test and the neighbor filter of the single best-first walk in
+:func:`best_first_search`; :func:`iterated_search` restarts that same
+walk from fresh seeds.  Every variant works on a finalized
+:class:`~repro.graphs.graph.Graph` plus the raw vectors, counts every
+distance evaluation through the supplied :class:`DistanceCounter`, and
+reports the per-query search statistics the paper tracks: NDC, query
+path length (number of expanded vertices, the hop count that drives I/O
+on external storage — Table 5 PL) and the number of visited vertices.
 
 Mechanics (none of which change a single NDC): distances are evaluated
 in the *squared* domain against the cached norms of a reusable
 :class:`~repro.components.context.SearchContext` (square roots are
 taken once, on the final result set), adjacency is read from the frozen
-CSR layout, and — for plain best-first search on a frozen graph — the
-whole loop runs inside the optional C kernel of :mod:`repro._native`.
+CSR layout, and — for the plain route on a frozen graph — the whole
+loop runs inside the optional C kernel of :mod:`repro._native`.
 Pass ``ctx`` to reuse scratch across queries; omitting it builds a
 transient context with identical semantics.
 """
@@ -25,22 +30,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import _native
+from repro import _native, faults
 from repro.components.context import SearchContext
 from repro.distance import DistanceCounter
 from repro.graphs.graph import Graph
 from repro.resilience import BudgetReport, BudgetTracker, QueryBudget
 
 __all__ = [
+    "Route",
     "SearchResult",
     "SearchContext",
     "best_first_search",
-    "range_search",
-    "backtracking_search",
-    "guided_search",
     "iterated_search",
-    "two_stage_search",
 ]
+
+#: a guided expansion filters only vertices with more than MIN_KEEP
+#: neighbors, and only when at least MIN_KEEP of them survive the filter
+MIN_KEEP = 2
+
+
+@dataclass(frozen=True)
+class Route:
+    """One C7 routing strategy as parameters of the best-first walk.
+
+    * ``epsilon`` — NGT's range search: the walk stops at the first
+      candidate farther than ``(1+ε)·r`` (``r`` the current worst
+      result), so a larger ε escapes local optima at more NDC.
+    * ``backtracks`` — FANNG: that many extra candidates are expanded
+      past the stop test (the "second-closest vertex with unexplored
+      edges"), for slightly better accuracy at noticeably more time.
+    * ``guided_hops`` — HCNNG's guided search: the first ``guided_hops``
+      expansions evaluate only neighbors in the query's half-space
+      (``<q - u, x_n - u> > 0``, a coordinate test costing no NDC).
+      ``math.inf`` filters every hop (HCNNG); ``None`` filters the first
+      ``max(4, ef // 2)`` at the call's ``ef`` and hands over to plain
+      best-first search after that (OA's two-stage routing, §6).
+
+    The default is plain best-first search (Algorithm 1), the only
+    route the C kernels run.
+    """
+
+    epsilon: float = 0.0
+    backtracks: int = 0
+    guided_hops: float | None = 0
+
+    @property
+    def plain(self) -> bool:
+        return (self.epsilon == 0.0 and self.backtracks == 0
+                and self.guided_hops == 0)
+
+
+#: Algorithm 1 — NSW, HNSW, KGraph, IEH, EFANNA, DPG, NSG, NSSG, Vamana
+PLAIN = Route()
 
 
 @dataclass
@@ -97,7 +138,7 @@ def _context_for(ctx: SearchContext | None, data: np.ndarray) -> SearchContext:
 
 
 class _Frontier:
-    """Shared candidate/result bookkeeping for the greedy searches.
+    """Candidate/result bookkeeping of the best-first walk.
 
     ``candidates`` is a min-heap of vertices to expand; ``results`` a
     max-heap (negated) capped at ``ef`` — the candidate set C of
@@ -168,24 +209,12 @@ class _Frontier:
             self.trace.seed_event(len(seeds), counter.count)
         self._offer_bulk(seeds, self.ctx.sq_dists(seeds))
 
-    def expand(
-        self,
-        u: int,
-        graph: Graph,
-        counter: DistanceCounter,
-        keep: np.ndarray | None = None,
-    ) -> None:
-        """Evaluate ``u``'s unvisited neighbors (optionally pre-filtered)."""
-        nbrs = graph.neighbor_array(u)
-        if keep is not None:
-            nbrs = nbrs[keep[: len(nbrs)]] if keep.dtype == bool else nbrs[keep]
-        if len(nbrs) == 0:
-            if self.trace is not None:
-                self.trace.hop(u, counter.count, 0)
-            return
-        nbrs = self.ctx.fresh(nbrs)
-        if self.tracker is not None:
-            nbrs = self.tracker.clip(nbrs)
+    def expand(self, u: int, nbrs: np.ndarray, counter: DistanceCounter) -> None:
+        """Evaluate the unvisited ones of ``u``'s (filtered) neighbors."""
+        if len(nbrs):
+            nbrs = self.ctx.fresh(nbrs)
+            if self.tracker is not None:
+                nbrs = self.tracker.clip(nbrs)
         if len(nbrs) == 0:
             if self.trace is not None:
                 self.trace.hop(u, counter.count, 0)
@@ -227,13 +256,18 @@ def _native_best_first(
             f"seed ids must lie in [0, {graph.n}), got {seeds[0]}..{seeds[-1]}"
         )
     max_ndc = max_hops = -1
+    deadline = 0.0
     if budget is not None:
         max_ndc = -1 if budget.max_ndc is None else budget.max_ndc
         max_hops = -1 if budget.max_hops is None else budget.max_hops
+        if budget.deadline_s is not None:
+            # the kernel reads CLOCK_MONOTONIC, which time.monotonic is
+            deadline = time.monotonic() + budget.deadline_s
     # with ctx.compressed set the kernel walks uint8 codes against the
     # per-query LUT begin_query just built; the float32 tier stays cold
     ids, sq, ndc, hops, visited, fired = _native.best_first(
-        ctx, graph, ctx.query64, ctx.query_sq, seeds, ef, max_ndc, max_hops
+        ctx, graph, ctx.query64, ctx.query_sq, seeds, ef, max_ndc, max_hops,
+        deadline,
     )
     counter.count += ndc
     result = SearchResult(
@@ -248,6 +282,54 @@ def _native_best_first(
     return result
 
 
+def _toward_query(
+    ctx: SearchContext, data: np.ndarray, u: int, nbrs: np.ndarray
+) -> np.ndarray:
+    """HCNNG's half-space test ``<q - u, x_n - u> > 0`` (costs no NDC)."""
+    anchor = data[u]
+    direction = ctx.query64 - anchor
+    return (data[nbrs] - anchor) @ direction > 0.0
+
+
+def _walk(
+    frontier: _Frontier,
+    graph: Graph,
+    data: np.ndarray,
+    counter: DistanceCounter,
+    route: Route,
+    hops: int = 0,
+) -> int:
+    """The candidate-set loop of Definition 4.7, shaped by ``route``.
+
+    Pops the closest unexpanded candidate until it lies beyond the
+    route's stop radius (and its backtracks are spent) or a budget
+    fires; returns the running hop count, starting from ``hops``.
+    """
+    tracker = frontier.tracker
+    # (1+ε)·r on true distances == (1+ε)²·r² in the squared domain
+    factor = (1.0 + route.epsilon) ** 2
+    backtracks = route.backtracks
+    guided = route.guided_hops
+    if guided is None:
+        guided = max(4, frontier.ef // 2)
+    while frontier.candidates:
+        if tracker is not None and tracker.stop_before_hop(hops):
+            break
+        dist, u = heapq.heappop(frontier.candidates)
+        if dist > frontier.worst() * factor:
+            if backtracks == 0:
+                break
+            backtracks -= 1  # backtrack: expand anyway
+        hops += 1
+        nbrs = graph.neighbor_array(u)
+        if hops <= guided and len(nbrs) > MIN_KEEP:
+            toward = _toward_query(frontier.ctx, data, u, nbrs)
+            if toward.sum() >= MIN_KEEP:
+                nbrs = nbrs[toward]
+        frontier.expand(u, nbrs, counter)
+    return hops
+
+
 def best_first_search(
     graph: Graph,
     data: np.ndarray,
@@ -258,26 +340,32 @@ def best_first_search(
     record_visited: bool = False,
     ctx: SearchContext | None = None,
     budget: QueryBudget | None = None,
+    route: Route = PLAIN,
 ) -> SearchResult:
-    """Best First Search (Algorithm 1 / Definition 4.7).
+    """Best First Search (Algorithm 1 / Definition 4.7) along ``route``.
 
-    The routing of NSW, HNSW, KGraph, IEH, EFANNA, DPG, NSG, NSSG and
-    Vamana.  ``ef`` is the candidate-set size ``c``.  With
-    ``record_visited`` the full evaluated set is returned — builders use
-    it as the candidate pool (NSG/Vamana keep every vertex the search
-    touched, which is where their long-range edges come from).  A
-    ``budget`` with NDC/hop caps runs natively; a wall-clock deadline
-    can only be enforced by the Python loop, so it forces the NumPy
-    path.
+    ``ef`` is the candidate-set size ``c``; ``route`` selects the C7
+    variant (plain BFS, NGT's range search, FANNG's backtracking,
+    HCNNG's guided search or OA's two-stage routing — see
+    :class:`Route`).  With ``record_visited`` the full evaluated set is
+    returned — builders use it as the candidate pool (NSG/Vamana keep
+    every vertex the search touched, which is where their long-range
+    edges come from).  The plain route runs in the serial C kernel when
+    one is loaded, budgets included (NDC and hop caps exactly, a
+    wall-clock deadline checked every few expansions); the other routes,
+    traced queries and armed fault plans walk the NumPy frontier, which
+    checks every limit between hops.
     """
     counter = counter if counter is not None else DistanceCounter()
     ctx = _context_for(ctx, data)
     if (
-        ctx.native and not record_visited and graph.finalized and graph.n > 0
-        and (budget is None or budget.native_ok)
+        route.plain and ctx.native and not record_visited
+        and graph.finalized and graph.n > 0
         # hop-level tracing needs the Python frontier; its ids/NDC are
         # bit-identical to the kernel's, so traces never change results
         and ctx.trace is None
+        # so does an armed fault plan: its distance seam is in ctx.sq_dists
+        and faults.active() is None
     ):
         return _native_best_first(ctx, graph, query, seeds, ef, counter, budget)
     start_ndc = counter.count
@@ -285,142 +373,7 @@ def best_first_search(
     frontier = _Frontier(ctx, query, ef, record_visited=record_visited,
                          tracker=tracker)
     frontier.seed(seeds, counter)
-    hops = 0
-    while frontier.candidates:
-        if tracker is not None and tracker.stop_before_hop(hops):
-            break
-        dist, u = heapq.heappop(frontier.candidates)
-        if dist > frontier.worst():
-            break
-        hops += 1
-        frontier.expand(u, graph, counter)
-    return _attach_budget(frontier.finish(counter.count - start_ndc, hops), tracker)
-
-
-def range_search(
-    graph: Graph,
-    data: np.ndarray,
-    query: np.ndarray,
-    seeds: np.ndarray,
-    ef: int,
-    counter: DistanceCounter | None = None,
-    epsilon: float = 0.1,
-    ctx: SearchContext | None = None,
-    budget: QueryBudget | None = None,
-) -> SearchResult:
-    """NGT's range search: BFS whose exploration radius is ``(1+ε)·r``.
-
-    ``r`` is the current worst result distance; raising ε trades time
-    for immunity to local optima (the C7_NGT "ceiling" of Figure 10(f)
-    appears when ε is small).
-    """
-    counter = counter if counter is not None else DistanceCounter()
-    ctx = _context_for(ctx, data)
-    start_ndc = counter.count
-    tracker = _tracker_for(budget, counter)
-    frontier = _Frontier(ctx, query, ef, tracker=tracker)
-    frontier.seed(seeds, counter)
-    hops = 0
-    # (1+ε)·r on true distances == (1+ε)²·r² in the squared domain
-    factor = (1.0 + epsilon) ** 2
-    while frontier.candidates:
-        if tracker is not None and tracker.stop_before_hop(hops):
-            break
-        dist, u = heapq.heappop(frontier.candidates)
-        if dist > frontier.worst() * factor:
-            break
-        hops += 1
-        frontier.expand(u, graph, counter)
-    return _attach_budget(frontier.finish(counter.count - start_ndc, hops), tracker)
-
-
-def backtracking_search(
-    graph: Graph,
-    data: np.ndarray,
-    query: np.ndarray,
-    seeds: np.ndarray,
-    ef: int,
-    counter: DistanceCounter | None = None,
-    backtracks: int = 10,
-    ctx: SearchContext | None = None,
-    budget: QueryBudget | None = None,
-) -> SearchResult:
-    """FANNG's BFS with backtracking.
-
-    After normal BFS termination the search pops up to ``backtracks``
-    further candidates (the "second-closest vertex with unexplored
-    edges") — slightly better accuracy, noticeably more time (§4.2 C7).
-    """
-    counter = counter if counter is not None else DistanceCounter()
-    ctx = _context_for(ctx, data)
-    start_ndc = counter.count
-    tracker = _tracker_for(budget, counter)
-    frontier = _Frontier(ctx, query, ef, tracker=tracker)
-    frontier.seed(seeds, counter)
-    hops = 0
-    remaining_backtracks = backtracks
-    while frontier.candidates:
-        if tracker is not None and tracker.stop_before_hop(hops):
-            break
-        dist, u = heapq.heappop(frontier.candidates)
-        if dist > frontier.worst():
-            if remaining_backtracks == 0:
-                break
-            remaining_backtracks -= 1  # backtrack: expand anyway
-        hops += 1
-        frontier.expand(u, graph, counter)
-    return _attach_budget(frontier.finish(counter.count - start_ndc, hops), tracker)
-
-
-def _toward_query(
-    ctx: SearchContext, data: np.ndarray, u: int, nbrs: np.ndarray
-) -> np.ndarray:
-    """HCNNG's half-space test ``<q - u, x_n - u> > 0`` (costs no NDC)."""
-    anchor = data[u]
-    direction = ctx.query64 - anchor
-    return (data[nbrs] - anchor) @ direction > 0.0
-
-
-def guided_search(
-    graph: Graph,
-    data: np.ndarray,
-    query: np.ndarray,
-    seeds: np.ndarray,
-    ef: int,
-    counter: DistanceCounter | None = None,
-    min_keep: int = 2,
-    ctx: SearchContext | None = None,
-    budget: QueryBudget | None = None,
-) -> SearchResult:
-    """HCNNG's guided search: skip neighbors pointing away from the query.
-
-    When expanding ``u``, only neighbors in the query's half-space
-    (``<q - u, x_n - u>  > 0``) are evaluated — a coordinate test that
-    costs no NDC, mirroring HCNNG's KD-direction test.  This "avoids
-    some redundant visits based on the query's location" at a small
-    accuracy cost (§4.2 C7, Figure 10(f)).
-    """
-    counter = counter if counter is not None else DistanceCounter()
-    ctx = _context_for(ctx, data)
-    start_ndc = counter.count
-    tracker = _tracker_for(budget, counter)
-    frontier = _Frontier(ctx, query, ef, tracker=tracker)
-    frontier.seed(seeds, counter)
-    hops = 0
-    while frontier.candidates:
-        if tracker is not None and tracker.stop_before_hop(hops):
-            break
-        dist, u = heapq.heappop(frontier.candidates)
-        if dist > frontier.worst():
-            break
-        hops += 1
-        nbrs = graph.neighbor_array(u)
-        if len(nbrs) > min_keep:
-            toward = _toward_query(ctx, data, u, nbrs)
-            if toward.sum() >= min_keep:
-                frontier.expand(u, graph, counter, keep=toward)
-                continue
-        frontier.expand(u, graph, counter)
+    hops = _walk(frontier, graph, data, counter, route)
     return _attach_budget(frontier.finish(counter.count - start_ndc, hops), tracker)
 
 
@@ -449,66 +402,11 @@ def iterated_search(
     hops = 0
     for restart in range(max_restarts):
         seeds = np.asarray(seed_batches(restart), dtype=np.int64)
-        before = -frontier.results[0][0] if len(frontier.results) == ef else np.inf
+        before = frontier.worst()
         frontier.seed(seeds, counter)
-        while frontier.candidates:
-            if tracker is not None and tracker.stop_before_hop(hops):
-                break
-            dist, u = heapq.heappop(frontier.candidates)
-            if dist > frontier.worst():
-                break
-            hops += 1
-            frontier.expand(u, graph, counter)
+        hops = _walk(frontier, graph, data, counter, PLAIN, hops)
         if tracker is not None and tracker.fired is not None:
             break
-        after = -frontier.results[0][0] if len(frontier.results) == ef else np.inf
-        if after >= before:  # local optimum not escaped; stop restarting
+        if frontier.worst() >= before:  # local optimum not escaped; stop
             break
-    return _attach_budget(frontier.finish(counter.count - start_ndc, hops), tracker)
-
-
-def two_stage_search(
-    graph: Graph,
-    data: np.ndarray,
-    query: np.ndarray,
-    seeds: np.ndarray,
-    ef: int,
-    counter: DistanceCounter | None = None,
-    guided_hops: int | None = None,
-    min_keep: int = 2,
-    ctx: SearchContext | None = None,
-    budget: QueryBudget | None = None,
-) -> SearchResult:
-    """The optimized algorithm's routing (§6 Improvement).
-
-    One frontier, two phases: the first ``guided_hops`` expansions use
-    HCNNG-style guided filtering to approach the query cheaply, after
-    which plain best-first expansion takes over for accuracy.  Sharing
-    the frontier (rather than restarting) is what makes the combination
-    cheaper than BFS alone — no vertex is ever evaluated twice.
-    """
-    counter = counter if counter is not None else DistanceCounter()
-    ctx = _context_for(ctx, data)
-    start_ndc = counter.count
-    if guided_hops is None:
-        guided_hops = max(4, ef // 2)
-    tracker = _tracker_for(budget, counter)
-    frontier = _Frontier(ctx, query, ef, tracker=tracker)
-    frontier.seed(seeds, counter)
-    hops = 0
-    while frontier.candidates:
-        if tracker is not None and tracker.stop_before_hop(hops):
-            break
-        dist, u = heapq.heappop(frontier.candidates)
-        if dist > frontier.worst():
-            break
-        hops += 1
-        if hops <= guided_hops:
-            nbrs = graph.neighbor_array(u)
-            if len(nbrs) > min_keep:
-                toward = _toward_query(ctx, data, u, nbrs)
-                if toward.sum() >= min_keep:
-                    frontier.expand(u, graph, counter, keep=toward)
-                    continue
-        frontier.expand(u, graph, counter)
     return _attach_budget(frontier.finish(counter.count - start_ndc, hops), tracker)

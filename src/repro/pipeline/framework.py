@@ -20,6 +20,8 @@ lower-cased (e.g. ``c3="dpg"`` is the paper's *C3_DPG*).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.algorithms.base import GraphANNS
@@ -35,14 +37,7 @@ from repro.components.initialization import (
     kdtree_neighbor_lists,
     random_neighbor_lists,
 )
-from repro.components.routing import (
-    SearchResult,
-    backtracking_search,
-    best_first_search,
-    guided_search,
-    range_search,
-    two_stage_search,
-)
+from repro.components.routing import PLAIN, Route
 from repro.components.seeding import (
     CentroidSeeds,
     KDTreeDescendSeeds,
@@ -317,28 +312,13 @@ class BenchmarkAlgorithm(GraphANNS):
 
     # -- C7 -----------------------------------------------------------------
 
-    def _route(self, query, seeds, ef, counter, ctx=None, budget=None) -> SearchResult:
-        if self.c7 == "ngt":
-            return range_search(
-                self.graph, self.data, query, seeds, ef, counter,
-                epsilon=self.epsilon, ctx=ctx, budget=budget,
-            )
-        if self.c7 == "fanng":
-            return backtracking_search(
-                self.graph, self.data, query, seeds, ef, counter, ctx=ctx,
-                budget=budget,
-            )
-        if self.c7 == "hcnng":
-            return guided_search(
-                self.graph, self.data, query, seeds, ef, counter, ctx=ctx,
-                budget=budget,
-            )
-        if self.c7 == "oa":
-            return two_stage_search(
-                self.graph, self.data, query, seeds, ef, counter, ctx=ctx,
-                budget=budget,
-            )
-        return best_first_search(
-            self.graph, self.data, query, seeds, ef, counter, ctx=ctx,
-            budget=budget,
-        )
+    @property
+    def route(self) -> Route:
+        """The C7 choice as a :class:`Route` (defaults of each origin)."""
+        return {
+            "nsw": PLAIN,
+            "ngt": Route(epsilon=self.epsilon),
+            "fanng": Route(backtracks=10),
+            "hcnng": Route(guided_hops=math.inf),
+            "oa": Route(guided_hops=None),
+        }[self.c7]

@@ -85,11 +85,10 @@ class QueryBudget:
     ``max_ndc`` is a hard cap on distance computations during routing
     (the paper's NDC); ``max_hops`` caps expanded vertices (the query
     path length of Table 5); ``deadline_s`` is a wall-clock limit.
-    The multi-threaded batch kernel (``search_batch``'s fused path)
-    honors all three in C, checking the clock every few expansions.
-    The serial kernel (``search`` and the per-query batch path) honors
-    NDC and hop caps only, so a budget with a deadline sends that query
-    through the NumPy frontier, which checks the clock between hops.
+    Both C kernels — the serial one behind ``search`` and the
+    multi-threaded one behind ``search_batch`` — honor all three,
+    checking the clock every few expansions; the NumPy frontier checks
+    it between hops.
     """
 
     deadline_s: float | None = None
@@ -107,12 +106,6 @@ class QueryBudget:
     @property
     def unlimited(self) -> bool:
         return self.deadline_s is None and self.max_ndc is None and self.max_hops is None
-
-    @property
-    def native_ok(self) -> bool:
-        """Whether the serial C kernel can honor every limit in this
-        budget (the MT batch kernel honors deadlines too)."""
-        return self.deadline_s is None
 
     def after_spending(self, ndc: int) -> "QueryBudget":
         """The budget left once ``ndc`` computations (e.g. seed

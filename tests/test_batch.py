@@ -1,5 +1,7 @@
 """Tests for the batched query engine (``repro.batch.search_batch``)."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.components.routing import best_first_search
 from repro.components.seeding import FixedSeeds, RandomSeeds
 from repro.datasets import make_clustered
 from repro.distance import DistanceCounter
+from repro.pipeline.framework import BenchmarkAlgorithm
 
 
 @pytest.fixture(scope="module")
@@ -260,3 +263,38 @@ class TestFallbacks:
         assert got.kernel_path == "python"
         assert got.num_errors == 0
         _assert_same_rows(got, ref)
+
+
+class TestRouteKernelPath:
+    """Only the plain route reaches the fused MT kernel — whether an
+    algorithm gets it by default or derives it from its parameters —
+    and every other C7 route answers query by query on the Python path."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return make_clustered(16, 400, 5, 4.0, num_queries=12, gt_depth=10,
+                              seed=3)
+
+    @pytest.mark.parametrize("make", [
+        lambda: create("kdr", seed=0, routing="bfs"),
+        lambda: BenchmarkAlgorithm(seed=0, c7="nsw"),
+    ], ids=["kdr-bfs", "framework-nsw"])
+    def test_plain_route_fuses(self, small, make):
+        index = make()
+        index.build(small.base)
+        # stateful provider: give both runs identical RNG streams
+        provider = copy.deepcopy(index.seed_provider)
+        seq = [index.search(q, k=5, ef=30) for q in small.queries]
+        index.seed_provider = provider
+        got = search_batch(index, small.queries, k=5, ef=30, workers=2)
+        fused = _native.LIB is not None and not obs.tracing()
+        assert got.kernel_path == ("fused_mt" if fused else "python")
+        np.testing.assert_array_equal(got.ids, np.stack([r.ids for r in seq]))
+        np.testing.assert_array_equal(got.ndc, [r.ndc for r in seq])
+
+    @pytest.mark.parametrize("name", ["ngt-panng", "hcnng", "fanng", "oa"])
+    def test_other_routes_stay_python(self, small, name):
+        index = create(name, seed=0)
+        index.build(small.base)
+        got = search_batch(index, small.queries, k=5, ef=30, workers=2)
+        assert got.kernel_path == "python"

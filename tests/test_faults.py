@@ -106,7 +106,8 @@ class TestDeadlineFaults:
     ):
         clean = static_index.search(easy_dataset.queries[0], k=5)
         with faults.inject(faults.FaultPlan(distance_delay_s=0.0005)):
-            # force the NumPy path (the delay hook lives in SearchContext)
+            # the armed plan keeps search on the NumPy path, where the
+            # delay hook lives; the deadline is far enough not to fire
             result = static_index.search(
                 easy_dataset.queries[0], k=5, budget=QueryBudget(deadline_s=60.0)
             )

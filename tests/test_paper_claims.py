@@ -120,13 +120,18 @@ class TestSearchClaims:
 
     def test_guided_search_reduces_ndc(self, easy_dataset, built_indexes):
         """§4.2 C7: HCNNG's guided search avoids redundant evaluations."""
-        from repro.components.routing import best_first_search, guided_search
+        import math
+
+        from repro.components.routing import Route, best_first_search
 
         hcnng = built_indexes["hcnng"]
         query = easy_dataset.queries[0]
         seeds = hcnng.seed_provider.acquire(query)
         plain = best_first_search(hcnng.graph, hcnng.data, query, seeds, ef=40)
-        guided = guided_search(hcnng.graph, hcnng.data, query, seeds, ef=40)
+        guided = best_first_search(
+            hcnng.graph, hcnng.data, query, seeds, ef=40,
+            route=Route(guided_hops=math.inf),
+        )
         assert guided.ndc <= plain.ndc
 
     def test_seed_quality_reduces_search_work(self, easy_dataset, built_indexes):

@@ -18,7 +18,8 @@ from repro import (
     QueryBudget,
     verify_index,
 )
-from repro import faults
+from repro import _native, faults
+from repro import observability as obs
 from repro.batch import search_batch
 from repro.graphs.graph import Graph
 from repro.io import load_index, save_index
@@ -36,6 +37,24 @@ def static_index(tmp_path_factory, built_indexes):
     return load_index(path)
 
 
+def _count_kernel_calls(monkeypatch) -> list:
+    """Record every call into the serial C kernel's entry point."""
+    calls = []
+    kernel = _native.best_first
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(_native, "best_first", counted)
+    return calls
+
+
+def _kernel_serves_search() -> bool:
+    # hop-level tracing walks the (bit-identical) NumPy frontier
+    return _native.LIB is not None and not obs.tracing()
+
+
 # -- QueryBudget basics --------------------------------------------------
 
 
@@ -51,8 +70,6 @@ class TestQueryBudget:
     def test_unlimited_and_native(self):
         assert QueryBudget().unlimited
         assert not QueryBudget(max_ndc=10).unlimited
-        assert QueryBudget(max_ndc=10).native_ok
-        assert not QueryBudget(deadline_s=1.0).native_ok
 
     def test_after_spending(self):
         budget = QueryBudget(max_ndc=100, max_hops=7)
@@ -127,6 +144,36 @@ class TestBudgetedSearch:
         assert result.budget.limit == "deadline"
         # seeds were still evaluated: a degraded result is not an empty one
         assert len(result.ids) > 0
+
+    def test_serial_kernel_fires_deadline(
+        self, static_index, easy_dataset, monkeypatch
+    ):
+        """A deadline budget stays on the serial C kernel, which fires it
+        (the NumPy frontier fires it without a kernel or when tracing)."""
+        calls = _count_kernel_calls(monkeypatch)
+        result = static_index.search(
+            easy_dataset.queries[0], k=5, budget=QueryBudget(deadline_s=1e-9)
+        )
+        assert len(calls) == (1 if _kernel_serves_search() else 0)
+        assert result.degraded
+        assert result.budget.limit == "deadline"
+
+    def test_unfired_deadline_is_bit_identical(
+        self, static_index, easy_dataset, monkeypatch
+    ):
+        calls = _count_kernel_calls(monkeypatch)
+        for query in easy_dataset.queries[:5]:
+            plain = static_index.search(query, k=10)
+            timed = static_index.search(
+                query, k=10, budget=QueryBudget(deadline_s=60.0)
+            )
+            np.testing.assert_array_equal(plain.ids, timed.ids)
+            np.testing.assert_array_equal(plain.dists, timed.dists)
+            assert (plain.ndc, plain.hops, plain.visited) == (
+                timed.ndc, timed.hops, timed.visited
+            )
+            assert not timed.degraded and timed.budget is None
+        assert len(calls) == (10 if _kernel_serves_search() else 0)
 
     def test_budget_works_on_every_algorithm(self, built_indexes, easy_dataset):
         """All routing strategies honor the cap (six C7 strategies plus

@@ -1,18 +1,16 @@
 """Tests for the C7 routing strategies (Definition 4.7 and variants)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.distance import DistanceCounter
 from repro.graphs import Graph, exact_knn_graph
-from repro.components.routing import (
-    backtracking_search,
-    best_first_search,
-    guided_search,
-    iterated_search,
-    range_search,
-    two_stage_search,
-)
+from repro.components.routing import Route, best_first_search, iterated_search
+
+GUIDED = Route(guided_hops=math.inf)   # HCNNG
+TWO_STAGE = Route(guided_hops=None)    # OA
 
 
 @pytest.fixture(scope="module")
@@ -102,18 +100,20 @@ class TestRangeSearch:
     def test_epsilon_zero_close_to_bfs(self, world):
         data, graph = world
         query = data[3] + 0.02
-        a = range_search(graph, data, query, np.asarray([50]), ef=30, epsilon=0.0)
+        a = best_first_search(
+            graph, data, query, np.asarray([50]), ef=30, route=Route(epsilon=0.0)
+        )
         b = best_first_search(graph, data, query, np.asarray([50]), ef=30)
         assert set(a.top(10).tolist()) == set(b.top(10).tolist())
 
     def test_larger_epsilon_explores_more(self, world):
         data, graph = world
         query = data[3] + 0.02
-        small = range_search(
-            graph, data, query, np.asarray([50]), ef=30, epsilon=0.0
+        small = best_first_search(
+            graph, data, query, np.asarray([50]), ef=30, route=Route(epsilon=0.0)
         )
-        big = range_search(
-            graph, data, query, np.asarray([50]), ef=30, epsilon=0.5
+        big = best_first_search(
+            graph, data, query, np.asarray([50]), ef=30, route=Route(epsilon=0.5)
         )
         assert big.visited >= small.visited
 
@@ -123,8 +123,9 @@ class TestBacktrackingSearch:
         data, graph = world
         query = data[4] + 0.02
         plain = best_first_search(graph, data, query, np.asarray([60]), ef=20)
-        back = backtracking_search(
-            graph, data, query, np.asarray([60]), ef=20, backtracks=10
+        back = best_first_search(
+            graph, data, query, np.asarray([60]), ef=20,
+            route=Route(backtracks=10),
         )
         assert back.visited >= plain.visited
 
@@ -134,8 +135,9 @@ class TestBacktrackingSearch:
         plain = best_first_search(
             graph, data, data[4] + 0.02, np.asarray([60]), ef=15
         )
-        back = backtracking_search(
-            graph, data, data[4] + 0.02, np.asarray([60]), ef=15, backtracks=20
+        back = best_first_search(
+            graph, data, data[4] + 0.02, np.asarray([60]), ef=15,
+            route=Route(backtracks=20),
         )
         assert len(truth & set(back.top(10).tolist())) >= len(
             truth & set(plain.top(10).tolist())
@@ -147,14 +149,18 @@ class TestGuidedSearch:
         data, graph = world
         query = data[6] + 0.02
         plain = best_first_search(graph, data, query, np.asarray([70]), ef=30)
-        guided = guided_search(graph, data, query, np.asarray([70]), ef=30)
+        guided = best_first_search(
+            graph, data, query, np.asarray([70]), ef=30, route=GUIDED
+        )
         assert guided.ndc <= plain.ndc
 
     def test_still_accurate(self, world):
         data, graph = world
         query = data[6] + 0.02
         truth = exact_top(data, query, 10)
-        guided = guided_search(graph, data, query, np.asarray([70]), ef=60)
+        guided = best_first_search(
+            graph, data, query, np.asarray([70]), ef=60, route=GUIDED
+        )
         assert len(truth & set(guided.top(10).tolist())) >= 7
 
 
@@ -190,14 +196,17 @@ class TestTwoStageSearch:
         data, graph = world
         query = data[9] + 0.02
         truth = exact_top(data, query, 10)
-        result = two_stage_search(graph, data, query, np.asarray([150]), ef=60)
+        result = best_first_search(
+            graph, data, query, np.asarray([150]), ef=60, route=TWO_STAGE
+        )
         assert len(truth & set(result.top(10).tolist())) >= 8
 
     def test_stats_accumulate_both_stages(self, world):
         data, graph = world
         counter = DistanceCounter()
-        result = two_stage_search(
-            graph, data, data[9], np.asarray([150]), ef=40, counter=counter
+        result = best_first_search(
+            graph, data, data[9], np.asarray([150]), ef=40, counter=counter,
+            route=TWO_STAGE,
         )
         assert result.ndc == counter.count
         assert result.hops > 0
