@@ -37,6 +37,7 @@ from repro.graphs.graph import Graph
 from repro.resilience import BudgetReport, BudgetTracker, QueryBudget
 
 __all__ = [
+    "PLAIN",
     "Route",
     "SearchResult",
     "SearchContext",

@@ -2,9 +2,10 @@
 the native kernel disabled (``REPRO_NO_NATIVE=1``).
 
 The pure-NumPy path is the fallback every resilience feature leans on
-(deadline budgets, worker-chunk retries, kernels that fail to compile),
-so it is exercised here as a first-class configuration, not a fallback
-that only sees production traffic.
+(worker-chunk retries, armed fault plans, kernels that fail to compile)
+and the walk of every non-plain C7 route, so it is exercised here as a
+first-class configuration, not a fallback that only sees production
+traffic.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ DUAL_MODE_SUITES = [
     "tests/test_sharded.py",
     "tests/test_updates.py",
     "tests/test_serving.py",
+    "tests/test_search_hashes.py",
 ]
 
 
