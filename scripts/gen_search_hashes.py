@@ -1,18 +1,19 @@
 """Record pinned search-output hashes for the routing regression test.
 
-Builds every registry algorithm, k-DR with range-search routing and the
-§5.4 framework with each C7 choice on the pinned dataset of
-``scripts/gen_build_hashes.py``, answers a fixed query set once through a
-sequential ``search()`` loop and once through ``search_batch()``, and
-writes a ``{mode: {config: {"search": {...}, "batch": {...}}}}`` map of
+Builds every registry algorithm, k-DR with range-search routing, the
+§5.4 framework with each C7 choice and three sharded NSG indexes (one
+shard; four shards at fan-out 2, plain and under an NDC budget) on the
+pinned dataset of ``scripts/gen_build_hashes.py``, answers a fixed query
+set once through a sequential ``search()`` loop and once through
+``search_batch()``, and writes a ``{mode: {config: {"search": {...}, "batch": {...}}}}`` map of
 sha256 digests (ids, dists, per-query NDC, per-query hops) to
 ``tests/data/search_hashes.json``.  Run once per mode::
 
     PYTHONPATH=src python scripts/gen_search_hashes.py
     REPRO_NO_NATIVE=1 PYTHONPATH=src python scripts/gen_search_hashes.py
 
-The hashes pin the C7 routing of every algorithm: a refactor of the
-routing layer must keep them stable.  Like the build hashes they are
+The hashes pin the C7 routing of every algorithm and the scatter–gather
+of the sharded front: a refactor of either layer must keep them stable.  Like the build hashes they are
 BLAS-rounding-sensitive (the native kernel and NumPy differ in the last
 ulp of a distance), hence the per-mode tables.
 """
@@ -33,6 +34,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro import _native  # noqa: E402
 from repro.algorithms.registry import ALGORITHMS, create  # noqa: E402
 from repro.pipeline.framework import C7_CHOICES, BenchmarkAlgorithm  # noqa: E402
+from repro.resilience import QueryBudget  # noqa: E402
+from repro.sharding import ShardedIndex  # noqa: E402
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "search_hashes.json"
 
@@ -41,8 +44,16 @@ DATASET_N, DATASET_D, DATASET_SEED = 300, 24, 7
 QUERY_COUNT, QUERY_SEED = 30, 8
 K, EF = 10, 40
 
+#: sharded configs: name -> (num_shards, fanout, max_ndc of the budget)
+SHARDED = {
+    "sharded-s1": (1, None, None),
+    "sharded-s4-p2": (4, 2, None),
+    "sharded-s4-p2-ndc": (4, 2, 80),
+}
+
 CONFIGS = (
     sorted(ALGORITHMS) + ["kdr-rs"] + [f"framework-{c7}" for c7 in C7_CHOICES]
+    + sorted(SHARDED)
 )
 
 
@@ -77,12 +88,39 @@ def digest(ids, dists, ndc, hops) -> dict[str, str]:
     }
 
 
+def sharded_outputs(config: str) -> dict[str, dict[str, str]]:
+    """Hashes of a sharded NSG index's ``search()`` loop and
+    ``search_batch()``, at the config's fan-out and budget."""
+    num_shards, fanout, max_ndc = SHARDED[config]
+    index = ShardedIndex.build(pinned_dataset(), num_shards=num_shards,
+                               algorithm="nsg", seed=0)
+    budget = None if max_ndc is None else QueryBudget(max_ndc=max_ndc)
+    queries = pinned_queries()
+    ids = np.full((QUERY_COUNT, K), -1, dtype=np.int64)
+    dists = np.full((QUERY_COUNT, K), np.inf)
+    ndc, hops = [], []
+    for i, query in enumerate(queries):
+        result = index.search(query, k=K, ef=EF, fanout=fanout, budget=budget)
+        ids[i, : len(result.ids)] = result.ids
+        dists[i, : len(result.dists)] = result.dists
+        ndc.append(result.ndc)
+        hops.append(result.hops)
+    batch = index.search_batch(queries, k=K, ef=EF, fanout=fanout,
+                               budget=budget)
+    return {
+        "search": digest(ids, dists, ndc, hops),
+        "batch": digest(batch.ids, batch.dists, batch.ndc, batch.hops),
+    }
+
+
 def search_outputs(config: str) -> dict[str, dict[str, str]]:
     """Hashes of one config's ``search()`` loop and ``search_batch()``.
 
     Both runs start from the same seed-provider state, so stateful
     random seeders draw identical seeds in each.
     """
+    if config in SHARDED:
+        return sharded_outputs(config)
     index = make_config(config)
     index.build(pinned_dataset())
     queries = pinned_queries()
