@@ -85,6 +85,21 @@ def _cmd_eval_sharded(args, dataset) -> int:
                 f"recall@{args.k}={recall:.3f} "
                 f"< required {args.check_recall:.3f}"
             )
+        # the single-query scatter must answer every row exactly as the
+        # batched one did
+        mismatched = []
+        for i, query in enumerate(dataset.queries):
+            single = index.search(query, k=args.k, ef=args.ef,
+                                  fanout=args.fanout)
+            row = result.ids[i]
+            if (not np.array_equal(single.ids, row[row >= 0])
+                    or single.ndc != int(result.ndc[i])):
+                mismatched.append(i)
+        if mismatched:
+            failures.append(
+                f"search() differs from search_batch() on "
+                f"{len(mismatched)} queries (first: {mismatched[0]})"
+            )
         if failures:
             print("CHECK FAILED: " + "; ".join(failures), file=sys.stderr)
             return 1

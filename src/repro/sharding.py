@@ -3,14 +3,16 @@
 A dataset that outgrows one graph is partitioned with balanced k-means
 into ``S`` shards, each a full :class:`~repro.algorithms.base.GraphANNS`
 index over its own slice of the points.  A query is routed to the
-``P`` shards whose centroids are closest (*fan-out*), searched on each
-in parallel — the multi-threaded batch kernel keeps working inside
-every shard — and the per-shard top-k lists are merged in the global
-id space.  ParlayANN shows partitioned graph ANNS can stay
-deterministic at scale; the merge here is a stable ``(distance, id)``
-sort over fixed per-shard result slots, so the answer is bit-identical
-at any shard thread count, and a single-shard index answers exactly
-like the unsharded path (same ids, same NDC).
+``P`` shards whose centroids are closest (*fan-out*), searched on each,
+and the per-shard top-k lists are merged in the global id space.  Like
+ParlayANN, the parallelism is across queries, not inside one: a single
+:meth:`ShardedIndex.search` walks its shards one after another in the
+caller's thread (a pool runs only when hedged replicas race), while
+:meth:`ShardedIndex.search_batch` runs one batch per shard concurrently
+with the multi-threaded kernel inside each.  The merge is a stable
+``(distance, id)`` sort over fixed per-shard result slots, so the
+answer is bit-identical at any shard thread count, and a single-shard
+index answers exactly like the unsharded path (same ids, same NDC).
 
 The robustness core — the reason this layer exists — is that a query
 must return its best-effort top-k even when a shard is corrupt, slow,
@@ -18,8 +20,9 @@ or gone:
 
 * **per-shard budgets** — a :class:`~repro.resilience.QueryBudget` is
   sliced across the fan-out (each shard gets an even share of
-  ``max_ndc``; deadlines and hop caps apply per shard), and each
-  shard's :class:`~repro.resilience.BudgetReport` survives in the
+  ``max_ndc``; hop caps apply per shard; a single query's deadline is
+  one window its shards share, see :meth:`ShardedIndex.search`), and
+  each shard's :class:`~repro.resilience.BudgetReport` survives in the
   :class:`ShardReport`;
 * **fault isolation** — a shard that raises, exceeds
   ``shard_timeout_s``, or failed checksum verification at load is
@@ -46,7 +49,7 @@ import copy
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -135,15 +138,22 @@ def kmeans_partition(
     return assign, centroids.astype(np.float32)
 
 
+#: quarantine reason of a shard the query's deadline left no time for
+_NO_TIME_LEFT = "deadline: no time left for this shard"
+
+
 def slice_budget(budget: QueryBudget | None, fanout: int) -> QueryBudget | None:
     """The per-shard slice of a query budget: ``max_ndc`` is split
     evenly across the fan-out (so the shards' combined spend respects
-    the cap); deadlines and hop caps apply to each shard as-is, since
-    the shards run concurrently."""
+    the cap); hop caps and ``deadline_s`` are passed on as-is.
+
+    ``search_batch`` runs its shards concurrently, so there the
+    deadline applies to each shard whole.  A single ``search`` without
+    hedging runs its shards one after another and narrows each shard's
+    deadline to what is left of the query's window (see
+    :meth:`ShardedIndex.search`)."""
     if budget is None or budget.max_ndc is None or fanout <= 1:
         return budget
-    from dataclasses import replace
-
     return replace(budget, max_ndc=max(1, budget.max_ndc // fanout))
 
 
@@ -155,7 +165,8 @@ class ShardReport:
     """Who answered a scatter–gather query, and at what cost.
 
     ``quarantined`` holds ``(shard, reason)`` pairs for shards that
-    raised, timed out, or were already quarantined at load; the merged
+    raised, timed out, were already quarantined at load, or were not
+    searched because the query's deadline had run out; the merged
     result covers only ``survivors``.  ``budgets`` maps a shard id to
     the :class:`~repro.resilience.BudgetReport` of its budget-degraded
     sub-search.  ``routing_ndc`` is the centroid-routing cost (zero for
@@ -479,11 +490,25 @@ class ShardedIndex:
         than ``shard_timeout_s``, a quarantine that predates the query
         — degrades the result instead of raising: the survivors are
         merged, ``degraded=True`` is set, and ``result.shard_report``
-        names who was dropped and why.  ``hedge`` (default: on whenever
-        :meth:`replicate` registered replicas) fires a second replica
-        of a shard that exceeds ``hedge_after_s`` (default: the p95 of
-        recent shard latencies); both replicas search from the same
-        seeds, so the ids are identical either way.
+        names who was dropped and why.
+
+        Without hedging the shards run one after another in the
+        caller's thread, and no thread is started.  ``budget.deadline_s``
+        is then one window for the whole query: each shard walks under
+        what is left of it, and a shard reached with no time left is not
+        searched (it is reported with reason ``"deadline: …"``).
+        ``shard_timeout_s`` is a window per shard, from that shard's own
+        start; the walk stops at it, and the shard is quarantined with
+        reason ``"timeout after …"``.
+
+        ``hedge`` (default: on whenever :meth:`replicate` registered
+        replicas) runs the shards' primaries concurrently on a pool and
+        fires a second replica of a shard that exceeds
+        ``hedge_after_s`` (default: the p95 of recent shard latencies);
+        both replicas search from the same seeds, so the ids are
+        identical either way.  On that path ``shard_timeout_s`` counts
+        from the query's start and the deadline applies to each shard
+        whole, as in :meth:`search_batch`.
         """
         self._require_shards()
         reason = validate_query(query, self.dim)
@@ -519,17 +544,23 @@ class ShardedIndex:
             acq_ndc[s] = counter.count
             runnable.append(s)
 
-        def run_replica(s: int, replica: int):
+        def run_replica(s: int, replica: int, window_end: float | None = None):
+            """One shard search; ``None`` if ``window_end`` (a
+            ``perf_counter`` instant) passed before the walk could start."""
             if plan is not None:
                 plan.before_shard(s, replica)
             t0 = time.perf_counter()
+            sub_budget = (
+                None if shard_budget is None
+                else shard_budget.after_spending(acq_ndc[s])
+            )
+            if window_end is not None:
+                if t0 >= window_end:
+                    return None
+                sub_budget = replace(sub_budget or QueryBudget(),
+                                     deadline_s=window_end - t0)
             result = self.replicas[s][replica].search(
-                query, k=k, ef=ef,
-                budget=(
-                    None if shard_budget is None
-                    else shard_budget.after_spending(acq_ndc[s])
-                ),
-                seeds=seeds[s],
+                query, k=k, ef=ef, budget=sub_budget, seeds=seeds[s],
             )
             self._latency.observe(time.perf_counter() - t0)
             return result
@@ -537,70 +568,18 @@ class ShardedIndex:
         results: dict[int, SearchResult] = {}
         hedges_fired = 0
         hedge_wins = 0
-        if runnable:
-            width = len(runnable) * (2 if hedging else 1)
-            pool = ThreadPoolExecutor(max_workers=width)
-            try:
-                futures = {
-                    s: [(0, pool.submit(run_replica, s, 0))] for s in runnable
-                }
-                if hedging:
-                    delay = (
-                        self._latency.hedge_delay()
-                        if hedge_after_s is None else float(hedge_after_s)
-                    )
-                    primaries = [fs[0][1] for fs in futures.values()]
-                    done, _ = wait(primaries, timeout=delay)
-                    for s in runnable:
-                        if (futures[s][0][1] not in done
-                                and len(self.replicas[s]) > 1):
-                            futures[s].append(
-                                (1, pool.submit(run_replica, s, 1))
-                            )
-                            hedges_fired += 1
-                for s in runnable:
-                    deadline = (
-                        None if shard_timeout_s is None
-                        else started + shard_timeout_s
-                    )
-                    pending = {f: rep for rep, f in futures[s]}
-                    errors: list[str] = []
-                    winner = None
-                    while pending and winner is None:
-                        timeout = (
-                            None if deadline is None
-                            else max(0.0, deadline - time.perf_counter())
-                        )
-                        done, _ = wait(
-                            set(pending), timeout=timeout,
-                            return_when=FIRST_COMPLETED,
-                        )
-                        if not done:
-                            errors.append(
-                                f"timeout after {shard_timeout_s:.3f}s"
-                            )
-                            break
-                        for future in done:
-                            rep = pending.pop(future)
-                            try:
-                                result = future.result()
-                            except Exception as exc:  # noqa: BLE001
-                                errors.append(
-                                    f"{type(exc).__name__}: {exc}"
-                                )
-                                continue
-                            if winner is None:
-                                winner = result
-                                if rep > 0:
-                                    hedge_wins += 1
-                    if winner is not None:
-                        results[s] = winner
-                    else:
-                        quarantined.append(
-                            (s, "; ".join(errors) or "no replica answered")
-                        )
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
+        if hedging:
+            hedges_fired, hedge_wins = self._gather_hedged(
+                runnable, run_replica, results, quarantined, started,
+                shard_timeout_s, hedge_after_s,
+            )
+        else:
+            query_end = (
+                None if budget is None or budget.deadline_s is None
+                else started + budget.deadline_s
+            )
+            self._gather_serial(runnable, run_replica, results, quarantined,
+                                query_end, shard_timeout_s)
 
         # a lone survivor's rows pass through untouched (bit-identical to
         # the unsharded search); several merge by (distance, global id)
@@ -645,6 +624,118 @@ class ShardedIndex:
             self._log.warning("shard.dropped", shard=s, reason=reason[:200])
         return out
 
+    def _gather_serial(
+        self, runnable, run_replica, results, quarantined, query_end,
+        shard_timeout_s,
+    ) -> None:
+        """Run the shards one after another in the caller's thread.
+
+        ``query_end`` (a ``perf_counter`` instant, or ``None``) closes
+        the caller's deadline window for the whole query;
+        ``shard_timeout_s`` opens a window per shard at its own start.
+        Each walk stops at whichever window closes first.  A shard
+        counts as timed out if it returns after its own window, or if
+        its walk stopped on it.  Fills ``results`` and ``quarantined``.
+        """
+        for s in runnable:
+            t0 = time.perf_counter()
+            if query_end is not None and t0 >= query_end:
+                quarantined.append((s, _NO_TIME_LEFT))
+                continue
+            shard_end = (
+                None if shard_timeout_s is None else t0 + shard_timeout_s
+            )
+            window_end = min(
+                (end for end in (query_end, shard_end) if end is not None),
+                default=None,
+            )
+            try:
+                result = run_replica(s, 0, window_end)
+            except Exception as exc:  # noqa: BLE001 - isolate the shard
+                quarantined.append((s, f"{type(exc).__name__}: {exc}"))
+                continue
+            stopped = result is None or (
+                result.budget is not None and result.budget.limit == "deadline"
+            )
+            if shard_end is not None and (
+                time.perf_counter() > shard_end
+                or (stopped and shard_end == window_end)
+            ):
+                quarantined.append((s, f"timeout after {shard_timeout_s:.3f}s"))
+            elif result is None:
+                quarantined.append((s, _NO_TIME_LEFT))
+            else:
+                results[s] = result
+
+    def _gather_hedged(
+        self, runnable, run_replica, results, quarantined, started,
+        shard_timeout_s, hedge_after_s,
+    ) -> tuple[int, int]:
+        """Run every shard's primary on a pool, fire a second replica
+        for each primary still running after the hedge delay, and keep
+        the first success per shard.  Fills ``results`` and
+        ``quarantined``; returns ``(hedges_fired, hedge_wins)``."""
+        hedges_fired = 0
+        hedge_wins = 0
+        if not runnable:
+            return hedges_fired, hedge_wins
+        pool = ThreadPoolExecutor(max_workers=2 * len(runnable))
+        try:
+            futures = {
+                s: [(0, pool.submit(run_replica, s, 0))] for s in runnable
+            }
+            delay = (
+                self._latency.hedge_delay()
+                if hedge_after_s is None else float(hedge_after_s)
+            )
+            primaries = [fs[0][1] for fs in futures.values()]
+            done, _ = wait(primaries, timeout=delay)
+            for s in runnable:
+                if (futures[s][0][1] not in done
+                        and len(self.replicas[s]) > 1):
+                    futures[s].append((1, pool.submit(run_replica, s, 1)))
+                    hedges_fired += 1
+            deadline = (
+                None if shard_timeout_s is None
+                else started + shard_timeout_s
+            )
+            for s in runnable:
+                pending = {f: rep for rep, f in futures[s]}
+                errors: list[str] = []
+                winner = None
+                while pending and winner is None:
+                    timeout = (
+                        None if deadline is None
+                        else max(0.0, deadline - time.perf_counter())
+                    )
+                    done, _ = wait(
+                        set(pending), timeout=timeout,
+                        return_when=FIRST_COMPLETED,
+                    )
+                    if not done:
+                        errors.append(f"timeout after {shard_timeout_s:.3f}s")
+                        break
+                    for future in done:
+                        rep = pending.pop(future)
+                        try:
+                            result = future.result()
+                        except Exception as exc:  # noqa: BLE001
+                            errors.append(f"{type(exc).__name__}: {exc}")
+                            continue
+                        if winner is None:
+                            winner = result
+                            if rep > 0:
+                                hedge_wins += 1
+                if winner is not None:
+                    results[s] = winner
+                else:
+                    quarantined.append(
+                        (s, "; ".join(errors) or "no replica answered")
+                    )
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+        return hedges_fired, hedge_wins
+
     # -- batched scatter–gather -----------------------------------------
 
     def search_batch(
@@ -662,8 +753,10 @@ class ShardedIndex:
         multi-threaded kernel with ``workers`` threads inside each),
         and merge per query.  Shard failures and timeouts degrade the
         affected queries (``result.degraded[i]``) instead of raising;
-        ``result.shard_report`` summarizes the scatter.  A single-shard
-        index is bit-identical to the unsharded ``search_batch``.
+        ``result.shard_report`` summarizes the scatter.
+        ``shard_timeout_s`` is one window for every shard, counted from
+        the start of the call.  A single-shard index is bit-identical to
+        the unsharded ``search_batch``.
 
         ``budget`` may be one :class:`QueryBudget` for the whole batch
         or a sequence of ``QueryBudget | None``, one per query (the
@@ -739,15 +832,25 @@ class ShardedIndex:
 
         involved = sorted(routes)
         if involved:
+            # one window for every shard: waiting shard by shard with a
+            # fresh timeout each would stretch a later shard's window by
+            # the earlier waits
+            deadline = (
+                None if shard_timeout_s is None else started + shard_timeout_s
+            )
             pool = ThreadPoolExecutor(max_workers=len(involved))
             try:
                 futures = {
                     s: pool.submit(run_shard, s, routes[s]) for s in involved
                 }
                 for s in involved:
+                    timeout = (
+                        None if deadline is None
+                        else max(0.0, deadline - time.perf_counter())
+                    )
                     try:
                         shard_results[s] = (
-                            routes[s], futures[s].result(timeout=shard_timeout_s)
+                            routes[s], futures[s].result(timeout=timeout)
                         )
                     except TimeoutError:
                         quarantined.append(

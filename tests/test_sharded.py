@@ -13,6 +13,7 @@ return bit-identical ids whether or not the hedge fires.
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -225,6 +226,21 @@ def test_dead_and_slow_shards_quarantined_in_one_batch(sharded4,
 
 
 @pytest.mark.faults
+def test_batch_shard_timeout_is_one_window(easy_dataset, sharded4):
+    # shard 2 sleeps less than the two waits before it would add up to;
+    # it must still time out, since every shard shares one window
+    plan = faults.FaultPlan().slow_shard(0, 1.0).slow_shard(2, 0.5)
+    with faults.inject(plan):
+        result = sharded4.search_batch(
+            easy_dataset.queries[:12], k=10, fanout=4, shard_timeout_s=0.3,
+        )
+    quarantined = dict(result.shard_report.quarantined)
+    assert set(quarantined) == {0, 2}
+    assert "timeout" in quarantined[0]
+    assert "timeout" in quarantined[2]
+
+
+@pytest.mark.faults
 def test_shard_faults_advance_prometheus_counters(dead_and_slow_batch):
     _, scrape = dead_and_slow_batch
     for metric in ("repro_shard_quarantines_total",
@@ -325,6 +341,98 @@ def test_hedge_survives_primary_death(easy_dataset, sharded4):
         assert result.shard_report.hedge_wins >= 1
     finally:
         sharded4.replicate(1)
+
+
+# -- single-query scatter in the caller's thread -------------------------
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("unhedged search() must not start a thread pool")
+
+
+def test_unhedged_search_starts_no_pool(easy_dataset, sharded4, monkeypatch):
+    baseline = sharded4.search(easy_dataset.queries[0], k=10, fanout=4)
+    monkeypatch.setattr("repro.sharding.ThreadPoolExecutor", _NoPool)
+    result = sharded4.search(easy_dataset.queries[0], k=10, fanout=4)
+    assert np.array_equal(baseline.ids, result.ids)
+    assert baseline.ndc == result.ndc
+    budgeted = sharded4.search(
+        easy_dataset.queries[0], k=10, fanout=4, shard_timeout_s=30.0,
+        budget=QueryBudget(deadline_s=30.0),
+    )
+    assert np.array_equal(baseline.ids, budgeted.ids)
+    assert budgeted.degraded is False
+
+
+def test_hedged_search_still_uses_a_pool(easy_dataset, sharded4, monkeypatch):
+    import repro.sharding
+
+    built = []
+    real = repro.sharding.ThreadPoolExecutor
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("max_workers"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("repro.sharding.ThreadPoolExecutor", counting)
+    sharded4.replicate(2)
+    try:
+        sharded4.search(easy_dataset.queries[0], k=10, fanout=4,
+                        hedge=True, hedge_after_s=30.0)
+    finally:
+        sharded4.replicate(1)
+    assert built
+
+
+@pytest.mark.faults
+def test_query_deadline_is_one_window_for_all_shards(easy_dataset, sharded4):
+    # every distance evaluation sleeps, so one shard alone outlasts the
+    # deadline: the later shards must find no time left, not get their
+    # own window each
+    deadline = 0.05
+    with faults.inject(faults.FaultPlan(distance_delay_s=0.01)):
+        started = time.perf_counter()
+        result = sharded4.search(easy_dataset.queries[0], k=10, fanout=4,
+                                 budget=QueryBudget(deadline_s=deadline))
+        elapsed = time.perf_counter() - started
+    assert elapsed < 3 * deadline
+    assert result.degraded is True
+    report = result.shard_report
+    assert len(report.survivors) >= 1
+    dropped = dict(report.quarantined)
+    assert dropped and all("deadline" in r for r in dropped.values())
+    for budget_report in report.budgets.values():
+        assert budget_report.limit == "deadline"
+
+
+@pytest.mark.faults
+def test_shard_timeout_cuts_a_slow_walk(easy_dataset, sharded4):
+    # unbounded, each shard's walk takes well over a second here
+    timeout = 0.05
+    with faults.inject(faults.FaultPlan(distance_delay_s=0.02)):
+        started = time.perf_counter()
+        result = sharded4.search(easy_dataset.queries[0], k=10, fanout=2,
+                                 shard_timeout_s=timeout)
+        elapsed = time.perf_counter() - started
+    assert elapsed < 0.5
+    assert result.degraded is True
+    quarantined = dict(result.shard_report.quarantined)
+    assert set(quarantined) == set(result.shard_report.shards_queried)
+    assert all("timeout" in r for r in quarantined.values())
+    assert result.shard_report.survivors == ()
+
+
+@pytest.mark.faults
+def test_shard_timeout_counts_from_each_shard_start(easy_dataset, sharded4):
+    # two slow shards in turn outlast the timeout together, not alone
+    plan = faults.FaultPlan().slow_shard(0, 0.2).slow_shard(1, 0.2)
+    with faults.inject(plan):
+        result = sharded4.search(easy_dataset.queries[0], k=10, fanout=4,
+                                 shard_timeout_s=0.3)
+    assert result.shard_report.quarantined == ()
+    assert set(result.shard_report.survivors) == {0, 1, 2, 3}
+    assert result.degraded is False
 
 
 # -- manifest persistence ------------------------------------------------
