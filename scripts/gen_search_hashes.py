@@ -88,6 +88,20 @@ def digest(ids, dists, ndc, hops) -> dict[str, str]:
     }
 
 
+def loop_digest(search, queries) -> dict[str, str]:
+    """Hashes of ``search(query)`` called once per query, in order."""
+    ids = np.full((len(queries), K), -1, dtype=np.int64)
+    dists = np.full((len(queries), K), np.inf)
+    ndc, hops = [], []
+    for i, query in enumerate(queries):
+        result = search(query)
+        ids[i, : len(result.ids)] = result.ids
+        dists[i, : len(result.dists)] = result.dists
+        ndc.append(result.ndc)
+        hops.append(result.hops)
+    return digest(ids, dists, ndc, hops)
+
+
 def sharded_outputs(config: str) -> dict[str, dict[str, str]]:
     """Hashes of a sharded NSG index's ``search()`` loop and
     ``search_batch()``, at the config's fan-out and budget."""
@@ -96,19 +110,14 @@ def sharded_outputs(config: str) -> dict[str, dict[str, str]]:
                                algorithm="nsg", seed=0)
     budget = None if max_ndc is None else QueryBudget(max_ndc=max_ndc)
     queries = pinned_queries()
-    ids = np.full((QUERY_COUNT, K), -1, dtype=np.int64)
-    dists = np.full((QUERY_COUNT, K), np.inf)
-    ndc, hops = [], []
-    for i, query in enumerate(queries):
-        result = index.search(query, k=K, ef=EF, fanout=fanout, budget=budget)
-        ids[i, : len(result.ids)] = result.ids
-        dists[i, : len(result.dists)] = result.dists
-        ndc.append(result.ndc)
-        hops.append(result.hops)
+    single = loop_digest(
+        lambda q: index.search(q, k=K, ef=EF, fanout=fanout, budget=budget),
+        queries,
+    )
     batch = index.search_batch(queries, k=K, ef=EF, fanout=fanout,
                                budget=budget)
     return {
-        "search": digest(ids, dists, ndc, hops),
+        "search": single,
         "batch": digest(batch.ids, batch.dists, batch.ndc, batch.hops),
     }
 
@@ -125,19 +134,11 @@ def search_outputs(config: str) -> dict[str, dict[str, str]]:
     index.build(pinned_dataset())
     queries = pinned_queries()
     provider = copy.deepcopy(index.seed_provider)
-    ids = np.full((QUERY_COUNT, K), -1, dtype=np.int64)
-    dists = np.full((QUERY_COUNT, K), np.inf)
-    ndc, hops = [], []
-    for i, query in enumerate(queries):
-        result = index.search(query, k=K, ef=EF)
-        ids[i, : len(result.ids)] = result.ids
-        dists[i, : len(result.dists)] = result.dists
-        ndc.append(result.ndc)
-        hops.append(result.hops)
+    single = loop_digest(lambda q: index.search(q, k=K, ef=EF), queries)
     index.seed_provider = provider
     batch = index.search_batch(queries, k=K, ef=EF)
     return {
-        "search": digest(ids, dists, ndc, hops),
+        "search": single,
         "batch": digest(batch.ids, batch.dists, batch.ndc, batch.hops),
     }
 

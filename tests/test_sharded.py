@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -366,14 +367,11 @@ def test_unhedged_search_starts_no_pool(easy_dataset, sharded4, monkeypatch):
 
 
 def test_hedged_search_still_uses_a_pool(easy_dataset, sharded4, monkeypatch):
-    import repro.sharding
-
     built = []
-    real = repro.sharding.ThreadPoolExecutor
 
     def counting(*args, **kwargs):
         built.append(kwargs.get("max_workers"))
-        return real(*args, **kwargs)
+        return ThreadPoolExecutor(*args, **kwargs)
 
     monkeypatch.setattr("repro.sharding.ThreadPoolExecutor", counting)
     sharded4.replicate(2)
