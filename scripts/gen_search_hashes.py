@@ -1,9 +1,12 @@
 """Record pinned search-output hashes for the routing regression test.
 
 Builds every registry algorithm, k-DR with range-search routing, the
-§5.4 framework with each C7 choice and three sharded NSG indexes (one
-shard; four shards at fan-out 2, plain and under an NDC budget) on the
-pinned dataset of ``scripts/gen_build_hashes.py``, answers a fixed query
+§5.4 framework with each C7 choice, three sharded NSG indexes (one
+shard; four shards at fan-out 2, plain and under an NDC budget) and six
+variants that finish queries differently (PQ re-rank on the fused and
+the per-query path; a delta tier with tombstones, plain and under an
+NDC budget) on the pinned dataset of ``scripts/gen_build_hashes.py``,
+answers a fixed query
 set once through a sequential ``search()`` loop and once through
 ``search_batch()``, and writes a ``{mode: {config: {"search": {...}, "batch": {...}}}}`` map of
 sha256 digests (ids, dists, per-query NDC, per-query hops) to
@@ -12,8 +15,9 @@ sha256 digests (ids, dists, per-query NDC, per-query hops) to
     PYTHONPATH=src python scripts/gen_search_hashes.py
     REPRO_NO_NATIVE=1 PYTHONPATH=src python scripts/gen_search_hashes.py
 
-The hashes pin the C7 routing of every algorithm and the scatter–gather
-of the sharded front: a refactor of either layer must keep them stable.  Like the build hashes they are
+The hashes pin the C7 routing of every algorithm, the compressed
+re-rank, the two-tier delta merge and the scatter–gather of the sharded
+front: a refactor of any of them must keep them stable.  Like the build hashes they are
 BLAS-rounding-sensitive (the native kernel and NumPy differ in the last
 ulp of a distance), hence the per-mode tables.
 """
@@ -51,9 +55,25 @@ SHARDED = {
     "sharded-s4-p2-ndc": (4, 2, 80),
 }
 
+#: finishing variants: name -> (algorithm, compressed, delta, max_ndc).
+#: "-pq" searches on the ADC tier (NSG fuses natively, HCNNG's guided
+#: route stays per-query); "-delta" inserts DELTA_INSERTS points and
+#: tombstones two base points and one delta point
+VARIANTS = {
+    "nsg-pq": ("nsg", True, False, None),
+    "hcnng-pq": ("hcnng", True, False, None),
+    "nsg-delta": ("nsg", False, True, None),
+    "hcnng-delta": ("hcnng", False, True, None),
+    "ieh-delta": ("ieh", False, True, None),
+    "nsg-delta-ndc": ("nsg", False, True, 250),
+}
+DELTA_INSERTS, DELTA_SEED = 40, 9
+BASE_TOMBSTONES = (3, 17)
+DELTA_TOMBSTONE = 5   # the sixth inserted point
+
 CONFIGS = (
     sorted(ALGORITHMS) + ["kdr-rs"] + [f"framework-{c7}" for c7 in C7_CHOICES]
-    + sorted(SHARDED)
+    + sorted(SHARDED) + sorted(VARIANTS)
 )
 
 
@@ -68,11 +88,24 @@ def pinned_queries() -> np.ndarray:
 
 
 def make_config(config: str):
+    if config in VARIANTS:
+        return create(VARIANTS[config][0], seed=0)
     if config == "kdr-rs":
         return create("kdr", seed=0, routing="rs")
     if config.startswith("framework-"):
         return BenchmarkAlgorithm(seed=0, c7=config.removeprefix("framework-"))
     return create(config, seed=0)
+
+
+def churn(index) -> None:
+    """Insert the pinned delta points, then tombstone two base points
+    and one delta point."""
+    index.auto_consolidate = False
+    rng = np.random.default_rng(DELTA_SEED)
+    for vector in rng.standard_normal((DELTA_INSERTS, DATASET_D)):
+        index.insert(vector.astype(np.float32))
+    for vertex in BASE_TOMBSTONES + (DATASET_N + DELTA_TOMBSTONE,):
+        index.delete(vertex)
 
 
 def digest(ids, dists, ndc, hops) -> dict[str, str]:
@@ -132,11 +165,20 @@ def search_outputs(config: str) -> dict[str, dict[str, str]]:
         return sharded_outputs(config)
     index = make_config(config)
     index.build(pinned_dataset())
+    _, compressed, delta, max_ndc = VARIANTS.get(config, (config, False, False, None))
+    if compressed:
+        index.enable_compressed()
+    if delta:
+        churn(index)
+    options = dict(
+        k=K, ef=EF, compressed=compressed,
+        budget=None if max_ndc is None else QueryBudget(max_ndc=max_ndc),
+    )
     queries = pinned_queries()
     provider = copy.deepcopy(index.seed_provider)
-    single = loop_digest(lambda q: index.search(q, k=K, ef=EF), queries)
+    single = loop_digest(lambda q: index.search(q, **options), queries)
     index.seed_provider = provider
-    batch = index.search_batch(queries, k=K, ef=EF)
+    batch = index.search_batch(queries, **options)
     return {
         "search": single,
         "batch": digest(batch.ids, batch.dists, batch.ndc, batch.hops),

@@ -1,15 +1,17 @@
-"""Pinned search outputs: every C7 route and the sharded front, single
-and batched.
+"""Pinned search outputs: every C7 route, the compressed re-rank, the
+delta merge and the sharded front, single and batched.
 
 ``tests/data/search_hashes.json`` holds, per mode, the sha256 of the
 ids, distances, per-query NDC and per-query hops that a sequential
 ``search()`` loop and a ``search_batch()`` call return for every
 registry algorithm, k-DR with range-search routing, the framework with
-each C7 choice and three sharded NSG indexes (S=1; S=4 at fan-out 2,
-plain and NDC-budgeted) return (``scripts/gen_search_hashes.py``
-regenerates it).  Matching it proves a routing or scatter–gather
-refactor changed no bit of any output, on the serial kernel, the fused
-batch kernel or the Python frontier.
+each C7 choice, three sharded NSG indexes (S=1; S=4 at fan-out 2,
+plain and NDC-budgeted) and six finishing variants (PQ re-rank, fused
+and per-query; a delta tier with tombstones, plain and NDC-budgeted)
+return (``scripts/gen_search_hashes.py`` regenerates it).  Matching it
+proves a routing, finishing or scatter–gather refactor changed no bit
+of any output, on the serial kernel, the fused batch kernel or the
+Python frontier.
 """
 
 from __future__ import annotations
