@@ -6,8 +6,8 @@ shard; four shards at fan-out 2, plain and under an NDC budget) and six
 variants that finish queries differently (PQ re-rank on the fused and
 the per-query path; a delta tier with tombstones, plain and under an
 NDC budget) on the pinned dataset of ``scripts/gen_build_hashes.py``,
-answers a fixed query
-set once through a sequential ``search()`` loop and once through
+answers a fixed query set once through a sequential ``search()`` loop
+and once through
 ``search_batch()``, and writes a ``{mode: {config: {"search": {...}, "batch": {...}}}}`` map of
 sha256 digests (ids, dists, per-query NDC, per-query hops) to
 ``tests/data/search_hashes.json``.  Run once per mode::

@@ -18,6 +18,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import copy
 import sys
 
 from repro import ALGORITHMS, available_datasets, create, load_dataset, observability as obs
@@ -39,6 +40,24 @@ def _cmd_datasets(_args) -> int:
     for name in available_datasets():
         print(name)
     return 0
+
+
+def _batch_mismatch(search, batch, queries) -> str | None:
+    """The ``--check`` failure if ``search(query)`` differs from its
+    ``batch`` row on ids or NDC for any query, else None."""
+    import numpy as np
+
+    mismatched = []
+    for i, query in enumerate(queries):
+        single = search(query)
+        row = batch.ids[i]
+        if (not np.array_equal(single.ids, row[row >= 0])
+                or single.ndc != int(batch.ndc[i])):
+            mismatched.append(i)
+    if not mismatched:
+        return None
+    return (f"search() differs from search_batch() on "
+            f"{len(mismatched)} queries (first: {mismatched[0]})")
 
 
 def _cmd_eval_sharded(args, dataset) -> int:
@@ -87,19 +106,12 @@ def _cmd_eval_sharded(args, dataset) -> int:
             )
         # the single-query scatter must answer every row exactly as the
         # batched one did
-        mismatched = []
-        for i, query in enumerate(dataset.queries):
-            single = index.search(query, k=args.k, ef=args.ef,
-                                  fanout=args.fanout)
-            row = result.ids[i]
-            if (not np.array_equal(single.ids, row[row >= 0])
-                    or single.ndc != int(result.ndc[i])):
-                mismatched.append(i)
-        if mismatched:
-            failures.append(
-                f"search() differs from search_batch() on "
-                f"{len(mismatched)} queries (first: {mismatched[0]})"
-            )
+        mismatch = _batch_mismatch(
+            lambda q: index.search(q, k=args.k, ef=args.ef, fanout=args.fanout),
+            result, dataset.queries,
+        )
+        if mismatch:
+            failures.append(mismatch)
         if failures:
             print("CHECK FAILED: " + "; ".join(failures), file=sys.stderr)
             return 1
@@ -166,6 +178,23 @@ def _cmd_eval(args) -> int:
         print(line)
     if args.compressed:
         index.enable_compressed()
+
+    def run(index):
+        """``evaluate``; under ``--check`` also the search() vs
+        search_batch() mismatch, both run from one seed-provider state
+        so random seeders draw the same seeds."""
+        options = dict(k=args.k, ef=args.ef, compressed=args.compressed,
+                       rerank_factor=args.rerank_factor)
+        stats = index.evaluate(dataset.queries, dataset.ground_truth, **options)
+        if not args.check:
+            return stats, None
+        provider = copy.deepcopy(index.seed_provider)
+        batch = index.search_batch(dataset.queries, **options)
+        index.seed_provider = provider
+        return stats, _batch_mismatch(
+            lambda q: index.search(q, **options), batch, dataset.queries
+        )
+
     if args.mmap_vectors:
         # exercise the tiered deployment shape: persist with a raw
         # float32 sidecar, reload with the vectors memory-mapped
@@ -178,15 +207,9 @@ def _cmd_eval(args) -> int:
             path = Path(tmp) / "index.npz"
             save_index(index, path, vector_tier="sidecar")
             index = load_index(path, mmap_vectors=True)
-            stats = index.evaluate(
-                dataset.queries, dataset.ground_truth, k=args.k, ef=args.ef,
-                compressed=args.compressed, rerank_factor=args.rerank_factor,
-            )
+            stats, mismatch = run(index)
     else:
-        stats = index.evaluate(
-            dataset.queries, dataset.ground_truth, k=args.k, ef=args.ef,
-            compressed=args.compressed, rerank_factor=args.rerank_factor,
-        )
+        stats, mismatch = run(index)
     mode = "compressed" if args.compressed else "exact"
     print(
         f"{args.algorithm} on {dataset.name} [{mode}]: "
@@ -206,6 +229,8 @@ def _cmd_eval(args) -> int:
             )
         if stats.qps <= 0:
             failures.append("qps is not positive")
+        if mismatch:
+            failures.append(mismatch)
         if failures:
             print("CHECK FAILED: " + "; ".join(failures), file=sys.stderr)
             return 1
@@ -353,8 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.add_argument(
         "--check", action="store_true",
-        help="exit non-zero unless the run clears --check-recall "
-             "(CI smoke gate)",
+        help="exit non-zero unless the run clears --check-recall and a "
+             "sequential search() loop equals search_batch() on ids and "
+             "NDC (CI smoke gate)",
     )
     evaluate.add_argument(
         "--check-recall", type=float, default=0.5,

@@ -20,6 +20,7 @@ from repro import observability as obs
 from repro.components.context import BuildContext, SearchContext
 from repro.components.routing import PLAIN, Route, SearchResult, best_first_search
 from repro.components.seeding import RandomSeeds, SeedProvider
+from repro.compressed import DEFAULT_RERANK_FACTOR, finish_compressed
 from repro.delta import DeltaTier
 from repro.distance import DistanceCounter
 from repro.graphs.graph import Graph
@@ -780,8 +781,14 @@ class GraphANNS:
         :class:`InvalidQueryError` before touching the index.  With a
         :class:`QueryBudget`, a search that hits a limit returns its
         current best-k flagged ``degraded=True`` instead of raising;
-        seed-acquisition NDC is charged against ``budget.max_ndc`` so
-        the reported total never exceeds the cap.
+        seed acquisition, the base walk and the delta walk are each
+        charged against ``budget.max_ndc`` once, so the reported total
+        never exceeds the cap.
+
+        The walk, ADC re-rank and tombstone filter run in
+        :meth:`_answer` and a non-empty delta tier merges in
+        :meth:`_merge_delta`: the steps :func:`repro.batch.search_batch`
+        runs per query, so the two entry points agree bit for bit.
 
         ``seeds`` overrides the provider's acquisition with explicit
         entry vertex ids (internal id space, already charged by the
@@ -809,19 +816,7 @@ class GraphANNS:
         reason = validate_query(query, self.data.shape[1])
         if reason is not None:
             raise InvalidQueryError(f"{self.name}: {reason}")
-        ef = max(k, ef if ef is not None else self.default_ef)
-        if compressed:
-            from repro.compressed import DEFAULT_RERANK_FACTOR, finish_compressed
-
-            tier = self._require_compressed()
-            factor = (
-                DEFAULT_RERANK_FACTOR if rerank_factor is None
-                else int(rerank_factor)
-            )
-            if factor < 1:
-                raise ValueError(f"rerank_factor must be >= 1, got {factor}")
-            # the traversal must hold a pool worth re-ranking
-            ef = max(ef, factor * k)
+        ef, tier, max_pool = self._pool_size(k, ef, compressed, rerank_factor)
         counter = counter if counter is not None else DistanceCounter()
         metrics = obs.enabled()
         trace = obs.start_query_trace(self.name, k, ef) if obs.tracing() else None
@@ -836,40 +831,16 @@ class GraphANNS:
                 seeds = self.seed_provider.acquire(query, counter)
             if trace is not None:
                 trace.record_seeds(seeds, counter.count)
-            if budget is not None:
-                budget = budget.after_spending(counter.count - start)
-            if compressed:
-                # the router's counter counts ADC lookups in this mode;
-                # true NDC resumes at the re-rank below
-                adc_counter = DistanceCounter()
-                ctx.compressed = tier
-                try:
-                    route = self._route(
-                        query, np.asarray(seeds, dtype=np.int64), ef,
-                        adc_counter, ctx=ctx, budget=budget,
-                    )
-                finally:
-                    ctx.compressed = None
-                    ctx.lut = None
-                result = finish_compressed(
-                    route, self.data, ctx.query64, self._deleted,
-                    adc_counter.count, counter, max_pool=factor * k,
-                )
-            else:
-                result = self._route(
-                    query, np.asarray(seeds, dtype=np.int64), ef, counter,
-                    ctx=ctx, budget=budget,
-                )
+            result = self._answer(
+                query, seeds, k, ef, counter, ctx, budget,
+                counter.count - start, tier, max_pool,
+            )
         finally:
             if trace is not None:
                 ctx.trace = None
-        result.ndc = counter.count - start
-        result.ids, result.dists = finish_ids(
-            result.ids, result.dists, self._live_tombstones(), k, self._id_map
-        )
         delta = self._delta
         if delta is not None and delta.n:
-            self._merge_delta(result, query, k, ef, counter, budget, start)
+            self._merge_delta(result, query, k, ef, counter, budget)
         if metrics:
             elapsed = time.perf_counter() - started
             if trace is not None:
@@ -903,35 +874,74 @@ class GraphANNS:
             compressed=compressed, rerank_factor=rerank_factor,
         )
 
-    def _merge_delta(
-        self,
-        result: SearchResult,
-        query: np.ndarray,
-        k: int,
-        ef: int,
-        counter: DistanceCounter,
-        budget: QueryBudget | None,
-        start: int,
-    ) -> None:
+    def _pool_size(self, k, ef, compressed, rerank_factor):
+        """``(ef, tier, max_pool)``: the candidate-set size, then the
+        compressed tier and its re-rank pool cap (None, 0 when exact)."""
+        ef = max(k, ef if ef is not None else self.default_ef)
+        if not compressed:
+            return ef, None, 0
+        tier = self._require_compressed()
+        factor = (
+            DEFAULT_RERANK_FACTOR if rerank_factor is None
+            else int(rerank_factor)
+        )
+        if factor < 1:
+            raise ValueError(f"rerank_factor must be >= 1, got {factor}")
+        return max(ef, factor * k), tier, factor * k
+
+    def _answer(self, query, seeds, k, ef, counter, ctx, budget, spent,
+                tier, max_pool) -> SearchResult:
+        """Walk one query from its ``seeds`` and finish its answer: the
+        step :meth:`search` and the batch engine's per-query path share.
+
+        ``spent`` (the seeds' NDC) is charged against ``budget`` once,
+        here.  A compressed ``tier`` walk counts ADC lookups and re-ranks
+        its best ``max_pool`` exactly.  ``result.ndc`` is ``spent`` plus
+        what ``counter`` gained; ids are tombstone-free, original-space.
+        """
+        if budget is not None:
+            budget = budget.after_spending(spent)
+        start = counter.count
+        seeds = np.asarray(seeds, dtype=np.int64)
+        deleted = self._live_tombstones()
+        if tier is None:
+            result = self._route(query, seeds, ef, counter, ctx=ctx, budget=budget)
+        else:
+            lookups = DistanceCounter()
+            ctx.compressed = tier
+            try:
+                walk = self._route(query, seeds, ef, lookups, ctx=ctx, budget=budget)
+            finally:
+                ctx.compressed = None
+                ctx.lut = None
+            result = finish_compressed(
+                walk, self.data, ctx.query64, deleted, lookups.count,
+                counter, max_pool=max_pool,
+            )
+        result.ndc = spent + counter.count - start
+        result.ids, result.dists = finish_ids(
+            result.ids, result.dists, deleted, k, self._id_map
+        )
+        return result
+
+    def _merge_delta(self, result, query, k, ef, counter, budget) -> None:
         """Fold the delta tier's top-k into a finished base result.
 
         The global top-k is a subset of (base top-k ∪ delta top-k), so
-        merging the two finished lists by ``(distance, id)`` and
-        truncating is exact.  The delta walk is charged to the same
-        counter with whatever budget remains after the base spend, so a
-        two-tier search never exceeds its NDC cap.  Only called when the
-        delta is non-empty — the empty-delta path is bit-identical
-        (ids and NDC) to the single-tier code.
+        merging the two finished lists by ``(distance, id)`` is exact.
+        The delta walk is charged to ``counter`` and ``result.ndc``
+        under what ``budget`` leaves after ``result.ndc``.  Only called
+        when the delta is non-empty, so an empty delta changes no bit.
         """
-        delta = self._delta
         remaining = (
-            None if budget is None
-            else budget.after_spending(counter.count - start)
+            None if budget is None else budget.after_spending(result.ndc)
         )
-        dres = delta.search(
+        start = counter.count
+        dres = self._delta.search(
             np.ascontiguousarray(query, dtype=np.float64), k, ef,
             counter, budget=remaining,
         )
+        result.ndc += counter.count - start
         result.hops += dres.hops
         result.visited += dres.visited
         if dres.degraded:
@@ -942,7 +952,6 @@ class GraphANNS:
             result.ids, result.dists = merge_topk(
                 [(result.ids, result.dists), (dres.ids, dres.dists)], k
             )
-        result.ndc = counter.count - start
 
     def _route(
         self,

@@ -19,11 +19,12 @@ query.
 Everything else takes the per-query path: indexes with a custom
 ``_route`` or a non-plain :class:`~repro.components.routing.Route`,
 traced runs, armed fault plans, kernel-less environments, and batches
-whose fused call raised.  A pool of ``workers`` threads
-runs ``index._route`` query by query, one
-:class:`~repro.components.context.SearchContext` per chunk, which
-reaches the serial C kernel whenever it can — so this path is
-bit-identical too, only slower.
+whose fused call raised.  A pool of ``workers`` threads runs
+``index._answer`` (the answer step ``index.search`` runs) query by
+query, one :class:`~repro.components.context.SearchContext` per chunk,
+which reaches the serial C kernel whenever it can — so this path is
+bit-identical too, only slower.  Either way, every row then merges a
+non-empty delta tier through ``index._merge_delta``, as search does.
 
 Budgets: both the fused kernel and the serial kernel of the per-query
 path enforce NDC caps, hop caps and wall-clock deadlines in C
@@ -42,9 +43,10 @@ import numpy as np
 
 from repro import _native, faults
 from repro import observability as obs
-from repro.algorithms.base import GraphANNS, check_batch, finish_ids, merge_topk
+from repro.algorithms.base import GraphANNS, check_batch, finish_ids
 from repro.components.context import SearchContext
-from repro.compressed import DEFAULT_RERANK_FACTOR, finish_compressed, rerank_exact
+from repro.components.routing import SearchResult
+from repro.compressed import rerank_exact
 from repro.distance import DistanceCounter, squared_norms
 from repro.resilience import QueryBudget
 
@@ -162,7 +164,8 @@ def search_batch(
     count.  Custom ``_route`` implementations, non-plain routes, traced
     runs, armed fault plans and kernel-less environments use the
     per-query worker pool instead, each chunk reusing one
-    :class:`SearchContext`.
+    :class:`SearchContext` and running ``index.search``'s answer step
+    (``index._answer``); the delta merge is search's own as well.
 
     Resilience semantics:
 
@@ -207,19 +210,7 @@ def search_batch(
     num_queries = len(queries)
     budgets = budget if isinstance(budget, list) else [budget] * num_queries
 
-    ef = max(k, ef if ef is not None else index.default_ef)
-    tier = None
-    max_pool = 0
-    if compressed:
-        tier = index._require_compressed()
-        factor = (
-            DEFAULT_RERANK_FACTOR if rerank_factor is None
-            else int(rerank_factor)
-        )
-        if factor < 1:
-            raise ValueError(f"rerank_factor must be >= 1, got {factor}")
-        max_pool = factor * k
-        ef = max(ef, max_pool)
+    ef, tier, max_pool = index._pool_size(k, ef, compressed, rerank_factor)
     metrics = obs.enabled()
     tracing = obs.tracing()
     handles = obs.instruments() if metrics else None
@@ -322,6 +313,16 @@ def search_batch(
         ids[i, : len(res_ids)] = res_ids
         dists[i, : len(res_ids)] = res_dists
 
+    def store(i: int, result: SearchResult) -> None:
+        """Copy a finished answer and its telemetry into row ``i`` (no
+        row shrinks: a delta merge only adds candidates)."""
+        ids[i, : len(result.ids)] = result.ids
+        dists[i, : len(result.ids)] = result.dists
+        ndc[i] = result.ndc
+        hops[i] = result.hops
+        visited[i] = result.visited
+        degraded[i] = result.degraded
+
     def reset(rows) -> None:
         """Undo whatever a failed attempt wrote for ``rows``."""
         ids[rows] = -1
@@ -401,55 +402,32 @@ def search_batch(
         plan = faults.active()
         if plan is not None:
             plan.before_query(i)
-        route = DistanceCounter()
+        counter = DistanceCounter()
         trace = None
         if trace_ids is not None:
             trace = obs.start_query_trace(index.name, k, ef,
                                           trace_id=trace_ids[i])
             # running NDC in hop events includes the up-front seed
             # acquisition, matching the ndc[i] telemetry exactly
-            trace.attach(route.count, already_spent=int(acq_ndc[i]))
-            trace.record_seeds(seed_lists[i], route.count)
+            trace.attach(counter.count, already_spent=int(acq_ndc[i]))
+            trace.record_seeds(seed_lists[i], counter.count)
             ctx.trace = trace
         t0 = time.perf_counter() if trace is not None else 0.0
-        row_budget = budgets[i]
-        try:
-            if compressed:
-                ctx.compressed = tier
-                ctx.lut_override = luts[lut_pos[i]]
-            try:
-                result = index._route(
-                    queries[i], seed_lists[i], ef, route, ctx=ctx,
-                    budget=(None if row_budget is None
-                            else row_budget.after_spending(int(acq_ndc[i]))),
-                )
-            finally:
-                if compressed:
-                    ctx.compressed = None
-                    ctx.lut_override = None
-                    ctx.lut = None
-        finally:
-            if trace is not None:
-                ctx.trace = None
         if compressed:
-            # route counted ADC lookups; true NDC is seeds + re-rank
-            true_ndc = DistanceCounter()
-            result = finish_compressed(
-                result, index.data, ctx.query64, deleted,
-                route.count, true_ndc, max_pool=max_pool,
+            ctx.lut_override = luts[lut_pos[i]]
+        try:
+            result = index._answer(
+                queries[i], seed_lists[i], k, ef, counter, ctx, budgets[i],
+                int(acq_ndc[i]), tier, max_pool,
             )
-            ndc[i] = acq_ndc[i] + true_ndc.count
+        finally:
+            ctx.trace = None
+            ctx.lut_override = None
+        store(i, result)
+        if compressed:
             adc_lookups[i] = result.adc_lookups
             rerank_ndc[i] = result.rerank_ndc
-        else:
-            ndc[i] = acq_ndc[i] + route.count
-        hops[i] = result.hops
-        visited[i] = result.visited
-        degraded[i] = result.degraded
-        fill_query(i, result.ids, result.dists)
         if trace is not None:
-            result.ndc = int(ndc[i])
-            result.ids = ids[i][ids[i] >= 0]   # the row actually returned
             obs.finish_query_trace(trace, result, time.perf_counter() - t0)
 
     def run_chunk(worker_index: int, chunk: np.ndarray) -> None:
@@ -519,40 +497,24 @@ def search_batch(
                 for future in futures:
                     future.result()
 
-    # Two-tier merge: when the index carries a delta side-graph, fold
-    # its per-query top-k into the finished base rows.  Both compute
-    # paths above land here, so the merge semantics match the
-    # sequential search exactly; with an empty delta this block never
-    # runs and the batch stays bit-identical (ids and NDC) to the
-    # single-tier code.
-    delta = getattr(index, "_delta", None)
+    # Two-tier merge: every healthy row, whichever path answered it,
+    # folds in the delta's top-k through the sequential search's own
+    # merge step.  With an empty delta nothing runs, so the batch stays
+    # bit-identical (ids and NDC) to the single-tier code.
+    delta = index._delta
     if delta is not None and delta.n:
         for i in finite_rows:
             if errors[i] is not None:
                 continue
-            dcounter = DistanceCounter()
-            row_budget = budgets[i]
-            dres = delta.search(
-                np.ascontiguousarray(queries[i], dtype=np.float64), k, ef,
-                dcounter,
-                budget=(None if row_budget is None
-                        else row_budget.after_spending(int(ndc[i]))),
-            )
-            ndc[i] += dcounter.count
-            hops[i] += dres.hops
-            visited[i] += dres.visited
-            if dres.degraded:
-                degraded[i] = True
-            if not len(dres.ids):
-                continue
             keep = ids[i] >= 0
-            row_ids, row_dists = merge_topk(
-                [(ids[i][keep], dists[i][keep]), (dres.ids, dres.dists)], k
+            result = SearchResult(
+                ids[i][keep], dists[i][keep], ndc=int(ndc[i]),
+                hops=int(hops[i]), visited=int(visited[i]),
+                degraded=bool(degraded[i]),
             )
-            ids[i] = -1
-            dists[i] = np.inf
-            ids[i, : len(row_ids)] = row_ids
-            dists[i, : len(row_ids)] = row_dists
+            index._merge_delta(result, queries[i], k, ef, DistanceCounter(),
+                               budgets[i])
+            store(i, result)
     elapsed_s = time.perf_counter() - started
     utilization = 0.0
     if handles is not None:

@@ -61,7 +61,8 @@ class SearchContext:
         #: set/cleared by GraphANNS.search and the batch engine)
         self.trace = None
         #: CompressedTier powering ADC traversal for the in-flight query
-        #: (None = exact scoring; set/cleared around _route like trace)
+        #: (None = exact scoring; set/cleared around the walk by the
+        #: shared answer step, GraphANNS._answer)
         self.compressed = None
         #: this query's (M, K) float32 ADC table (built by begin_query)
         self.lut = None

@@ -195,20 +195,28 @@ class TestDeltaTier:
         assert stats.recall >= 0.85
 
     @pytest.mark.slow
-    def test_batch_matches_sequential_with_delta(self, world):
+    @pytest.mark.parametrize("name, max_ndc", [
+        ("vamana", None),
+        # SPTAG-KDT pays ~70 NDC for its tree seeds and a 300 cap
+        # reaches the delta walk: acquisition must be charged once
+        ("sptag-kdt", 300),
+    ], ids=["vamana", "sptag-kdt-ndc300"])
+    def test_batch_matches_sequential_with_delta(self, world, name, max_ndc):
         """search_batch's two-tier merge is the sequential merge."""
         from repro.batch import search_batch
 
-        index = create("vamana", seed=2)
+        index = create(name, seed=2)
         index.build(world.base)
         index.auto_consolidate = False
         rng = np.random.default_rng(4)
         for row in rng.choice(world.n, 12):
             index.insert(world.base[row] + 0.01)
         index.delete(int(world.n + 3))  # one delta tombstone in the mix
-        batch = search_batch(index, world.queries, k=10, ef=60, workers=2)
+        budget = None if max_ndc is None else QueryBudget(max_ndc=max_ndc)
+        batch = search_batch(index, world.queries, k=10, ef=60, workers=2,
+                             budget=budget)
         for i, query in enumerate(world.queries):
-            result = index.search(query, k=10, ef=60)
+            result = index.search(query, k=10, ef=60, budget=budget)
             got = batch.ids[i][batch.ids[i] >= 0]
             assert np.array_equal(got, result.ids)
             assert batch.ndc[i] == result.ndc
