@@ -2,10 +2,11 @@
 
 Builds every registry algorithm, k-DR with range-search routing, the
 §5.4 framework with each C7 choice, three sharded NSG indexes (one
-shard; four shards at fan-out 2, plain and under an NDC budget) and six
+shard; four shards at fan-out 2, plain and under an NDC budget) and eight
 variants that finish queries differently (PQ re-rank on the fused and
-the per-query path; a delta tier with tombstones, plain and under an
-NDC budget) on the pinned dataset of ``scripts/gen_build_hashes.py``,
+the per-query path and under HNSW's layered descent; a delta tier with
+tombstones, plain and under an NDC budget; SPTAG-KDT under an NDC
+budget) on the pinned dataset of ``scripts/gen_build_hashes.py``,
 answers a fixed query set once through a sequential ``search()`` loop
 and once through
 ``search_batch()``, and writes a ``{mode: {config: {"search": {...}, "batch": {...}}}}`` map of
@@ -57,15 +58,19 @@ SHARDED = {
 
 #: finishing variants: name -> (algorithm, compressed, delta, max_ndc).
 #: "-pq" searches on the ADC tier (NSG fuses natively, HCNNG's guided
-#: route stays per-query); "-delta" inserts DELTA_INSERTS points and
-#: tombstones two base points and one delta point
+#: route stays per-query, HNSW descends its upper layers first);
+#: "-delta" inserts DELTA_INSERTS points and tombstones two base points
+#: and one delta point; "-ndc" caps every query's NDC (SPTAG-KDT's cap
+#: cuts some queries inside the walk and lets others finish it)
 VARIANTS = {
     "nsg-pq": ("nsg", True, False, None),
     "hcnng-pq": ("hcnng", True, False, None),
+    "hnsw-pq": ("hnsw", True, False, None),
     "nsg-delta": ("nsg", False, True, None),
     "hcnng-delta": ("hcnng", False, True, None),
     "ieh-delta": ("ieh", False, True, None),
     "nsg-delta-ndc": ("nsg", False, True, 250),
+    "sptag-kdt-ndc": ("sptag-kdt", False, False, 240),
 }
 DELTA_INSERTS, DELTA_SEED = 40, 9
 BASE_TOMBSTONES = (3, 17)

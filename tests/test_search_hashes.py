@@ -6,8 +6,9 @@ ids, distances, per-query NDC and per-query hops that a sequential
 ``search()`` loop and a ``search_batch()`` call return for every
 registry algorithm, k-DR with range-search routing, the framework with
 each C7 choice, three sharded NSG indexes (S=1; S=4 at fan-out 2,
-plain and NDC-budgeted) and six finishing variants (PQ re-rank, fused
-and per-query; a delta tier with tombstones, plain and NDC-budgeted)
+plain and NDC-budgeted) and eight finishing variants (PQ re-rank, fused,
+per-query and under HNSW's descent; a delta tier with tombstones, plain
+and NDC-budgeted; NDC-budgeted SPTAG-KDT)
 return (``scripts/gen_search_hashes.py`` regenerates it).  Matching it
 proves a routing, finishing or scatter–gather refactor changed no bit
 of any output, on the serial kernel, the fused batch kernel or the
