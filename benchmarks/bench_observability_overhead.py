@@ -38,6 +38,7 @@ import numpy as np
 
 from repro import create, observability as obs
 from repro.algorithms.base import finish_ids
+from repro.components.routing import best_first_search
 from repro.distance import DistanceCounter
 from repro.resilience import InvalidQueryError, validate_query
 
@@ -73,9 +74,9 @@ def search_replica(index, query, k, ef):
     seeds = index.seed_provider.acquire(query, counter)
     if budget is not None:  # pre-existing resilience line, not obs
         budget = budget.after_spending(counter.count - start)
-    result = index._route(
-        query, np.asarray(seeds, dtype=np.int64), ef, counter,
-        ctx=ctx, budget=budget,
+    result = best_first_search(
+        index.graph, index.data, query, np.asarray(seeds, dtype=np.int64),
+        ef, counter, ctx=ctx, budget=budget, route=index.route,
     )
     result.ndc = counter.count - start
     result.ids, result.dists = finish_ids(
@@ -83,7 +84,7 @@ def search_replica(index, query, k, ef):
     )
     delta = index._delta
     if delta is not None and delta.n:
-        index._merge_delta(result, query, k, ef, counter, budget, start)
+        index._merge_delta(result, query, k, ef, counter, budget)
     return result
 
 

@@ -180,7 +180,8 @@ class GraphANNS:
 
     name = "base"
     default_ef = 40
-    #: C7 routing strategy of the default :meth:`_route`; algorithms
+    #: C7 routing strategy: every query is ``seed_provider.acquire``
+    #: followed by the best-first walk along this route; algorithms
     #: that route differently set a class constant or derive it from
     #: their constructor parameters
     route: Route = PLAIN
@@ -891,8 +892,9 @@ class GraphANNS:
 
     def _answer(self, query, seeds, k, ef, counter, ctx, budget, spent,
                 tier, max_pool) -> SearchResult:
-        """Walk one query from its ``seeds`` and finish its answer: the
-        step :meth:`search` and the batch engine's per-query path share.
+        """Walk one query from its ``seeds`` along :attr:`route` (C7)
+        and finish its answer: the step :meth:`search` and the batch
+        engine's per-query path share.
 
         ``spent`` (the seeds' NDC) is charged against ``budget`` once,
         here.  A compressed ``tier`` walk counts ADC lookups and re-ranks
@@ -905,12 +907,18 @@ class GraphANNS:
         seeds = np.asarray(seeds, dtype=np.int64)
         deleted = self._live_tombstones()
         if tier is None:
-            result = self._route(query, seeds, ef, counter, ctx=ctx, budget=budget)
+            result = best_first_search(
+                self.graph, self.data, query, seeds, ef, counter, ctx=ctx,
+                budget=budget, route=self.route,
+            )
         else:
             lookups = DistanceCounter()
             ctx.compressed = tier
             try:
-                walk = self._route(query, seeds, ef, lookups, ctx=ctx, budget=budget)
+                walk = best_first_search(
+                    self.graph, self.data, query, seeds, ef, lookups,
+                    ctx=ctx, budget=budget, route=self.route,
+                )
             finally:
                 ctx.compressed = None
                 ctx.lut = None
@@ -952,23 +960,6 @@ class GraphANNS:
             result.ids, result.dists = merge_topk(
                 [(result.ids, result.dists), (dres.ids, dres.dists)], k
             )
-
-    def _route(
-        self,
-        query: np.ndarray,
-        seeds: np.ndarray,
-        ef: int,
-        counter: DistanceCounter,
-        ctx: SearchContext | None = None,
-        budget: QueryBudget | None = None,
-    ) -> SearchResult:
-        """C7: the best-first walk along :attr:`route`.  Only algorithms
-        whose seed side does extra work (HNSW's upper-layer descent,
-        SPTAG's restarts) override this."""
-        return best_first_search(
-            self.graph, self.data, query, seeds, ef, counter, ctx=ctx,
-            budget=budget, route=self.route,
-        )
 
     def evaluate(
         self,

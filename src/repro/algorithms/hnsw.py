@@ -2,11 +2,12 @@
 
 Each point draws a level from an exponential distribution; upper layers
 form a coarse-to-fine navigation hierarchy, and every layer's neighbors
-are chosen by the heuristic (RNG) rule of Appendix A.  Search descends
-greedily from the fixed top-layer entry to layer 1, then runs
-best-first search on the base layer.  The extra layers are the memory
-overhead the paper notes (§3.2 A2); base-layer statistics (GQ/AD/CC)
-are what Table 4 reports.
+are chosen by the heuristic (RNG) rule of Appendix A.  The greedy
+descent from the fixed top-layer entry to layer 1 is HNSW's C6 seed
+acquisition (:class:`TopLayerSeeds`); the base layer is then walked by
+the plain best-first search every index shares.  The extra layers are
+the memory overhead the paper notes (§3.2 A2); base-layer statistics
+(GQ/AD/CC) are what Table 4 reports.
 """
 
 from __future__ import annotations
@@ -16,13 +17,64 @@ import math
 import numpy as np
 
 from repro.algorithms.base import GraphANNS
-from repro.components.routing import SearchResult, best_first_search
+from repro.components.routing import best_first_search
 from repro.components.selection import select_rng_heuristic
-from repro.components.seeding import FixedSeeds
+from repro.components.seeding import FixedSeeds, SeedProvider
 from repro.distance import DistanceCounter
 from repro.graphs.graph import Graph
 
-__all__ = ["HNSW"]
+__all__ = ["HNSW", "TopLayerSeeds"]
+
+
+def _greedy_step(
+    graph: Graph, data: np.ndarray, entry: int, query: np.ndarray,
+    counter: DistanceCounter,
+) -> int:
+    """Move to the closest neighbor on one layer until none is closer."""
+    current = entry
+    current_dist = counter.pair(query, data[current])
+    improved = True
+    while improved:
+        improved = False
+        nbrs = graph.neighbor_array(current)
+        if len(nbrs) == 0:
+            break
+        dists = counter.one_to_many(query, data[nbrs])
+        best = int(np.argmin(dists))
+        if dists[best] < current_dist:
+            current = int(nbrs[best])
+            current_dist = float(dists[best])
+            improved = True
+    return current
+
+
+class TopLayerSeeds(SeedProvider):
+    """HNSW's C6: greedy descent from the top entry down to layer 1.
+
+    The vertex the descent lands on is the base-layer walk's one seed,
+    and the descent's distance computations are the acquisition NDC.
+    The provider shares the index's ``layers`` list (their bytes are
+    :meth:`HNSW.aux_size_bytes`).  A saved index keeps only the top
+    entry, so :meth:`spec` is :class:`FixedSeeds`' recipe for it.
+    """
+
+    def __init__(self, layers: list[Graph], entry_point: int):
+        self.layers = layers
+        self.entry_point = int(entry_point)
+        self._data: np.ndarray | None = None
+
+    def prepare(self, data: np.ndarray, graph: Graph) -> None:
+        self._data = data
+
+    def acquire(self, query, counter=None) -> np.ndarray:
+        counter = counter if counter is not None else DistanceCounter()
+        entry = self.entry_point
+        for graph in self.layers[:0:-1]:
+            entry = _greedy_step(graph, self._data, entry, query, counter)
+        return np.asarray([entry], dtype=np.int64)
+
+    def spec(self) -> dict:
+        return FixedSeeds([self.entry_point]).spec()
 
 
 class HNSW(GraphANNS):
@@ -90,7 +142,7 @@ class HNSW(GraphANNS):
                     current_max = int(levels[p])
                     self.entry_point = p
             self.graph = self.layers[0]
-            self.seed_provider = FixedSeeds(np.asarray([self.entry_point]))
+            self.seed_provider = TopLayerSeeds(self.layers, self.entry_point)
             self._rng = state["rng"]
 
         return [("c1", init_phase), ("c2+c3", insert_phase)]
@@ -113,7 +165,7 @@ class HNSW(GraphANNS):
             self.entry_point = new_id
         for layer in self.layers:
             layer.finalize()
-        self.seed_provider = FixedSeeds(np.asarray([self.entry_point]))
+        self.seed_provider = TopLayerSeeds(self.layers, self.entry_point)
         self._grow_bookkeeping()
         return new_id
 
@@ -124,7 +176,7 @@ class HNSW(GraphANNS):
         entry_level = self._vertex_top_level(entry)
         # greedy descent through layers above the insertion level
         for layer in range(entry_level, level, -1):
-            entry = self._greedy_step(layer, entry, data[p], counter)
+            entry = _greedy_step(self.layers[layer], data, entry, data[p], counter)
         entries = np.asarray([entry], dtype=np.int64)
         for layer in range(min(level, entry_level), -1, -1):
             graph = self.layers[layer]
@@ -158,59 +210,6 @@ class HNSW(GraphANNS):
                 top = layer
                 break
         return top
-
-    def _greedy_step(
-        self, layer: int, entry: int, query: np.ndarray, counter: DistanceCounter
-    ) -> int:
-        graph = self.layers[layer]
-        current = entry
-        current_dist = counter.pair(query, self.data[current])
-        improved = True
-        while improved:
-            improved = False
-            nbrs = graph.neighbor_array(current)
-            if len(nbrs) == 0:
-                break
-            dists = counter.one_to_many(query, self.data[nbrs])
-            best = int(np.argmin(dists))
-            if dists[best] < current_dist:
-                current = int(nbrs[best])
-                current_dist = float(dists[best])
-                improved = True
-        return current
-
-    # -- search -----------------------------------------------------------
-
-    def _route(
-        self,
-        query: np.ndarray,
-        seeds: np.ndarray,
-        ef: int,
-        counter: DistanceCounter,
-        ctx=None,
-        budget=None,
-    ) -> SearchResult:
-        entry = int(seeds[0])
-        hops = 0
-        descent_start = counter.count
-        trace = ctx.trace if ctx is not None else None
-        for layer in range(self.max_level, 0, -1):
-            before = counter.count
-            entry = self._greedy_step(layer, entry, query, counter)
-            hops += 1
-            if trace is not None:  # upper-layer descent is a hop too
-                trace.hop(entry, counter.count, counter.count - before)
-        if budget is not None:
-            # the upper-layer descent spent NDC too; charge it so the
-            # base-layer search cannot blow the per-query cap
-            budget = budget.after_spending(counter.count - descent_start)
-        result = best_first_search(
-            self.graph, self.data, query,
-            np.asarray([entry], dtype=np.int64), ef, counter, ctx=ctx,
-            budget=budget,
-        )
-        result.hops += hops
-        return result
 
     def aux_size_bytes(self) -> int:
         """The hierarchy's upper layers (the paper's memory-usage caveat

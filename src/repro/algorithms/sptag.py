@@ -10,8 +10,11 @@ pass then improves the merged graph.
 * **SPTAG-BKT** — adds the RNG-heuristic pruning option and takes
   seeds from a balanced k-means tree.
 
-Routing is iterated best-first search: when a pass gets stuck in a
-local optimum, fresh tree seeds restart it (§4.2 C7).
+Routing is the plain best-first search every index shares (§4.2 C7
+lists SPTAG as BFS).  The original restarts a stuck pass from fresh
+tree seeds, but both tree providers here are deterministic: a restart
+would re-acquire seeds the first pass already visited, so one pass
+from the tree seeds is the whole search.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 from repro.algorithms.base import GraphANNS
 from repro.components.refinement import map_refine
 from repro.components.refinement import select_rng as fast_select_rng
-from repro.components.routing import SearchResult, iterated_search
 from repro.components.selection import select_rng_heuristic
 from repro.components.seeding import KDTreeSeeds, KMeansTreeSeeds
 from repro.distance import DistanceCounter, pairwise_l2
@@ -40,7 +42,6 @@ class _SPTAGBase(GraphANNS):
         num_divisions: int = 4,
         leaf_size: int = 100,
         propagation_rounds: int = 1,
-        max_restarts: int = 4,
         seed: int = 0,
         n_workers: int = 1,
     ):
@@ -49,7 +50,6 @@ class _SPTAGBase(GraphANNS):
         self.num_divisions = num_divisions
         self.leaf_size = leaf_size
         self.propagation_rounds = propagation_rounds
-        self.max_restarts = max_restarts
 
     def _merged_knn_lists(
         self, data: np.ndarray, counter: DistanceCounter
@@ -117,19 +117,6 @@ class _SPTAGBase(GraphANNS):
             counter=counter, seed=self.seed, initial_ids=ids, bctx=bctx,
         )
         return result.ids, result.dists
-
-    def _route(self, query, seeds, ef, counter, ctx=None, budget=None) -> SearchResult:
-        provider = self.seed_provider
-
-        def batches(restart: int) -> np.ndarray:
-            if restart == 0:
-                return seeds
-            return provider.acquire(query, counter)
-
-        return iterated_search(
-            self.graph, self.data, query, batches, ef, counter,
-            max_restarts=self.max_restarts, ctx=ctx, budget=budget,
-        )
 
 
 class SPTAGKDT(_SPTAGBase):

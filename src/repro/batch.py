@@ -1,7 +1,7 @@
 """Batched query engine: :func:`search_batch`.
 
 The survey evaluates single-threaded, one-query-at-a-time search; a
-production service batches.  For indexes that route with the default
+production service batches.  For indexes that route with plain
 best-first search, :func:`search_batch` hands the *entire* batch to
 the multi-threaded native kernel in **one ctypes call**: the GIL is
 released once, a pthread pool inside the C library fans the queries
@@ -16,10 +16,10 @@ one GEMM — making the per-query telemetry (NDC including seed
 acquisition, hops, visited) identical to ``index.search`` query by
 query.
 
-Everything else takes the per-query path: indexes with a custom
-``_route`` or a non-plain :class:`~repro.components.routing.Route`,
-traced runs, armed fault plans, kernel-less environments, and batches
-whose fused call raised.  A pool of ``workers`` threads runs
+Everything else takes the per-query path: indexes whose
+:class:`~repro.components.routing.Route` is not plain, traced runs,
+armed fault plans, kernel-less environments, and batches whose fused
+call raised.  A pool of ``workers`` threads runs
 ``index._answer`` (the answer step ``index.search`` runs) query by
 query, one :class:`~repro.components.context.SearchContext` per chunk,
 which reaches the serial C kernel whenever it can — so this path is
@@ -124,10 +124,6 @@ class BatchQueryResult:
         return 0 if self.degraded is None else int(self.degraded.sum())
 
 
-def _uses_default_route(index: GraphANNS) -> bool:
-    return type(index)._route is GraphANNS._route and index.route.plain
-
-
 def _pack_seeds(seed_lists: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR-pack per-query seed lists (uniqued, range-checked) for the
     MT kernel: ``(seed_indptr, seeds)``."""
@@ -158,13 +154,13 @@ def search_batch(
     Semantics match a ``[index.search(q, k, ef) for q in queries]``
     loop exactly — same ids, distances, per-query NDC (seed acquisition
     included), hops and visited counts, same tombstone filtering.  For
-    default-routing indexes the whole batch runs below the interpreter:
+    plain-route indexes the whole batch runs below the interpreter:
     one ctypes call into the multi-threaded C kernel (``workers``
     pthreads, the GIL released once), bit-identical for any thread
-    count.  Custom ``_route`` implementations, non-plain routes, traced
-    runs, armed fault plans and kernel-less environments use the
-    per-query worker pool instead, each chunk reusing one
-    :class:`SearchContext` and running ``index.search``'s answer step
+    count.  Non-plain routes, traced runs, armed fault plans and
+    kernel-less environments use the per-query worker pool instead,
+    each chunk reusing one :class:`SearchContext` and running
+    ``index.search``'s answer step
     (``index._answer``); the delta merge is search's own as well.
 
     Resilience semantics:
@@ -276,7 +272,7 @@ def search_batch(
     # fault plans (their injection points are per-chunk/per-query hooks
     # in the per-query orchestration below).
     fused = (
-        _uses_default_route(index)
+        index.route.plain
         and _native.LIB is not None
         and index.graph.finalized
         and index.graph.n > 0

@@ -8,12 +8,7 @@ parts, which is what makes the §5.4 component-swapping study possible.
 """
 
 from repro.components.context import SearchContext
-from repro.components.routing import (
-    Route,
-    SearchResult,
-    best_first_search,
-    iterated_search,
-)
+from repro.components.routing import Route, SearchResult, best_first_search
 from repro.components.selection import (
     select_closest,
     select_rng_heuristic,
@@ -49,7 +44,6 @@ __all__ = [
     "Route",
     "SearchResult",
     "best_first_search",
-    "iterated_search",
     "select_closest",
     "select_rng_heuristic",
     "select_angle_sum",

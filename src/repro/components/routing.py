@@ -4,8 +4,7 @@ The survey's routing variants are parameters of one candidate-set loop
 (Table 9: BFS / RS / GS), and here they are exactly that: a frozen
 :class:`Route` value (range-search ε, backtracks, guided hops) selects
 the stop test and the neighbor filter of the single best-first walk in
-:func:`best_first_search`; :func:`iterated_search` restarts that same
-walk from fresh seeds.  Every variant works on a finalized
+:func:`best_first_search`.  Every variant works on a finalized
 :class:`~repro.graphs.graph.Graph` plus the raw vectors, counts every
 distance evaluation through the supplied :class:`DistanceCounter`, and
 reports the per-query search statistics the paper tracks: NDC, query
@@ -42,7 +41,6 @@ __all__ = [
     "SearchResult",
     "SearchContext",
     "best_first_search",
-    "iterated_search",
 ]
 
 #: a guided expansion filters only vertices with more than MIN_KEEP
@@ -298,15 +296,15 @@ def _walk(
     data: np.ndarray,
     counter: DistanceCounter,
     route: Route,
-    hops: int = 0,
 ) -> int:
     """The candidate-set loop of Definition 4.7, shaped by ``route``.
 
     Pops the closest unexpanded candidate until it lies beyond the
     route's stop radius (and its backtracks are spent) or a budget
-    fires; returns the running hop count, starting from ``hops``.
+    fires; returns the hop count.
     """
     tracker = frontier.tracker
+    hops = 0
     # (1+ε)·r on true distances == (1+ε)²·r² in the squared domain
     factor = (1.0 + route.epsilon) ** 2
     backtracks = route.backtracks
@@ -375,39 +373,4 @@ def best_first_search(
                          tracker=tracker)
     frontier.seed(seeds, counter)
     hops = _walk(frontier, graph, data, counter, route)
-    return _attach_budget(frontier.finish(counter.count - start_ndc, hops), tracker)
-
-
-def iterated_search(
-    graph: Graph,
-    data: np.ndarray,
-    query: np.ndarray,
-    seed_batches,
-    ef: int,
-    counter: DistanceCounter | None = None,
-    max_restarts: int = 4,
-    ctx: SearchContext | None = None,
-    budget: QueryBudget | None = None,
-) -> SearchResult:
-    """SPTAG's iterated BFS: restart from fresh tree seeds when stuck.
-
-    ``seed_batches`` is a callable ``restart_index -> seed ids`` (the
-    KD-tree / BKT lookup); the visited set and result set persist across
-    restarts, so each restart explores new territory.
-    """
-    counter = counter if counter is not None else DistanceCounter()
-    ctx = _context_for(ctx, data)
-    start_ndc = counter.count
-    tracker = _tracker_for(budget, counter)
-    frontier = _Frontier(ctx, query, ef, tracker=tracker)
-    hops = 0
-    for restart in range(max_restarts):
-        seeds = np.asarray(seed_batches(restart), dtype=np.int64)
-        before = frontier.worst()
-        frontier.seed(seeds, counter)
-        hops = _walk(frontier, graph, data, counter, PLAIN, hops)
-        if tracker is not None and tracker.fired is not None:
-            break
-        if frontier.worst() >= before:  # local optimum not escaped; stop
-            break
     return _attach_budget(frontier.finish(counter.count - start_ndc, hops), tracker)

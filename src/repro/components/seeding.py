@@ -58,7 +58,7 @@ class SeedProvider:
         computations its acquisition charged.  The default runs
         :meth:`acquire` per query **in query order** with a fresh
         counter each — exactly what a sequential ``index.search`` loop
-        does, so stateful providers (RNG draws, restart counters) stay
+        does, so stateful providers (RNG draws) stay
         bit-identical.  Providers whose acquisition is stateless or
         vectorizable without changing a single returned id override
         this (the batched query engine calls it once per batch).
@@ -123,7 +123,10 @@ class RandomSeeds(SeedProvider):
 
 
 class FixedSeeds(SeedProvider):
-    """Entries fixed at build time (HNSW top layer is a special case)."""
+    """Entries fixed at build time, e.g. a loaded HNSW's top entry.
+
+    A built HNSW descends from that entry with ``TopLayerSeeds``.
+    """
 
     def __init__(self, seed_ids: np.ndarray):
         self._ids = np.asarray(seed_ids, dtype=np.int64)

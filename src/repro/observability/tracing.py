@@ -35,8 +35,7 @@ class QueryTrace:
     acquisition included, matching ``SearchResult.ndc`` accounting) and
     how many fresh neighbors the expansion evaluated.  ``seed_events``
     records what the frontier was actually seeded with (deduplicated,
-    budget-clipped — SPTAG's restarts append one event each), while
-    ``seed_ids`` is the raw C4 provider output.
+    budget-clipped), while ``seed_ids`` is the raw C4 provider output.
     """
 
     __slots__ = (

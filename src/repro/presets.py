@@ -84,8 +84,8 @@ def create_tuned(
     Explicit ``overrides`` win over preset values.  ``seed_provider``
     names an entry from :data:`SEED_PROVIDERS` to swap in for the
     algorithm's native C4/C6 component (applied up front; algorithms
-    that install their own provider *during* build — HNSW's fixed top
-    entry — need :func:`apply_seed_provider` after building instead).
+    that install their own provider *during* build — HNSW's top-layer
+    descent — need :func:`apply_seed_provider` after building instead).
     """
     params = tuned_params(algorithm, dataset)
     params.update(overrides)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import create
-from repro.algorithms.hnsw import HNSW
+from repro.algorithms.hnsw import HNSW, TopLayerSeeds, _greedy_step
 from repro.algorithms.ngt import NGTOnng, NGTPanng
 from repro.algorithms.sptag import SPTAGKDT
 from repro.distance import DistanceCounter
@@ -54,10 +54,30 @@ class TestHNSWInternals:
         counter = DistanceCounter()
         query = cloud[5] + 0.01
         entry = hnsw.entry_point
-        landed = hnsw._greedy_step(0, entry, query, counter)
+        landed = _greedy_step(hnsw.layers[0], hnsw.data, entry, query, counter)
         d_entry = np.linalg.norm(cloud[entry] - query)
         d_landed = np.linalg.norm(cloud[landed] - query)
         assert d_landed <= d_entry + 1e-6
+
+    def test_descent_is_seed_acquisition(self, cloud):
+        """The upper-layer descent is HNSW's C6: its distances are the
+        acquisition NDC and its landing vertex the walk's one seed."""
+        hnsw = HNSW(seed=3)
+        hnsw.build(cloud)
+        assert isinstance(hnsw.seed_provider, TopLayerSeeds)
+        query = cloud[5] + 0.01
+        counter = DistanceCounter()
+        seeds = hnsw.seed_provider.acquire(query, counter)
+        entry = hnsw.entry_point
+        expected = DistanceCounter()
+        for layer in range(hnsw.max_level, 0, -1):
+            entry = _greedy_step(hnsw.layers[layer], hnsw.data, entry, query,
+                                 expected)
+        assert seeds.tolist() == [entry]
+        assert counter.count == expected.count >= hnsw.max_level
+        assert hnsw.seed_provider.spec() == {
+            "kind": "fixed", "ids": [hnsw.entry_point]
+        }
 
 
 class TestNGTInternals:

@@ -278,7 +278,10 @@ class TestRouteKernelPath:
     @pytest.mark.parametrize("make", [
         lambda: create("kdr", seed=0, routing="bfs"),
         lambda: BenchmarkAlgorithm(seed=0, c7="nsw"),
-    ], ids=["kdr-bfs", "framework-nsw"])
+        lambda: create("hnsw", seed=0),
+        lambda: create("sptag-kdt", seed=0),
+        lambda: create("sptag-bkt", seed=0),
+    ], ids=["kdr-bfs", "framework-nsw", "hnsw", "sptag-kdt", "sptag-bkt"])
     def test_plain_route_fuses(self, small, make):
         index = make()
         index.build(small.base)

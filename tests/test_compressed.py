@@ -104,6 +104,7 @@ class TestBitIdentity:
         # same index, same provider state: flip ctx.native per query by
         # running the whole round twice off one frozen seed draw
         from repro.components.context import SearchContext
+        from repro.components.routing import best_first_search
         from repro.distance import DistanceCounter
 
         index = compressed_index
@@ -119,7 +120,10 @@ class TestBitIdentity:
                 ctx.native = ctx.native and native
                 ctx.compressed = tier
                 adc = DistanceCounter()
-                route = index._route(query, seeds, 60, adc, ctx=ctx)
+                route = best_first_search(
+                    index.graph, index.data, query, seeds, 60, adc, ctx=ctx,
+                    route=index.route,
+                )
                 ctx.compressed = None
                 ctx.lut = None
                 outputs.append((route.ids, route.dists, adc.count))

@@ -52,10 +52,11 @@ def _assert_identical(a, b, label):
 class TestThreadCountInvariance:
     """search_batch results do not depend on workers or repetition."""
 
-    @pytest.mark.parametrize("name", ["nsg", "hnsw"])
+    @pytest.mark.parametrize("name", ["nsg", "hnsw", "ngt-panng"])
     def test_identical_across_workers_and_repeats(self, world, name):
-        # nsg exercises the fused MT kernel (default route + centroid
-        # seeds); hnsw exercises the Python fallback (custom _route)
+        # nsg and hnsw exercise the fused MT kernel (plain route from
+        # centroid / top-layer descent seeds); ngt-panng exercises the
+        # per-query Python path (range route, VP-tree seeds)
         data, queries = world
         index = _built(name, data)
         reference = search_batch(index, queries, k=8, ef=32, workers=1)

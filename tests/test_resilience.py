@@ -9,6 +9,8 @@ nothing at all.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -176,17 +178,30 @@ class TestBudgetedSearch:
         assert len(calls) == (10 if _kernel_serves_search() else 0)
 
     def test_budget_works_on_every_algorithm(self, built_indexes, easy_dataset):
-        """All routing strategies honor the cap (six C7 strategies plus
-        the layered and pipelined indexes reach this through _route)."""
-        query = easy_dataset.queries[0]
+        """All routing strategies and seed providers honor the cap: the
+        six C7 routes, HNSW's layered descent and SPTAG's tree seeds.
+        Caps 150 and 250 bind after SPTAG's first acquisition, where a
+        second, uncharged acquisition once overshot them."""
+
+        def check(name, index, cap, queries):
+            for query in queries:
+                result = index.search(query, k=5, budget=QueryBudget(max_ndc=cap))
+                # seed acquisition is a black box and may alone overshoot
+                # the cap; in that case routing must spend nothing further
+                if result.ndc > cap:
+                    assert result.degraded, (name, cap)
+                    assert result.budget.ndc == 0, (name, cap)
+                valid = result.ids[result.ids >= 0]
+                assert np.all((valid >= 0) & (valid < index.graph.n)), name
+
         for name, index in built_indexes.items():
-            result = index.search(query, k=5, budget=QueryBudget(max_ndc=60))
-            # seed acquisition is a black box and may alone overshoot the
-            # cap; in that case routing must spend nothing further
-            if result.ndc > 60:
-                assert result.degraded and result.budget.ndc == 0, name
-            valid = result.ids[result.ids >= 0]
-            assert np.all((valid >= 0) & (valid < index.graph.n)), name
+            check(name, index, 60, easy_dataset.queries[:1])
+            # the extra inputs must not advance a stateful provider that
+            # later tests share through the session fixture
+            provider = copy.deepcopy(index.seed_provider)
+            for cap in (60, 150, 250):
+                check(name, index, cap, easy_dataset.queries)
+            index.seed_provider = provider
 
 
 # -- budgeted / validated batch search ----------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from repro.distance import DistanceCounter
 from repro.graphs import Graph, exact_knn_graph
-from repro.components.routing import Route, best_first_search, iterated_search
+from repro.components.routing import Route, best_first_search
 
 GUIDED = Route(guided_hops=math.inf)   # HCNNG
 TWO_STAGE = Route(guided_hops=None)    # OA
@@ -162,33 +162,6 @@ class TestGuidedSearch:
             graph, data, query, np.asarray([70]), ef=60, route=GUIDED
         )
         assert len(truth & set(guided.top(10).tolist())) >= 7
-
-
-class TestIteratedSearch:
-    def test_restarts_use_new_seeds(self, world):
-        data, graph = world
-        query = data[8] + 0.02
-        batches = [np.asarray([100]), np.asarray([200]), np.asarray([300])]
-        result = iterated_search(
-            graph, data, query, lambda i: batches[min(i, 2)], ef=20,
-            max_restarts=3,
-        )
-        assert len(result.ids) > 0
-
-    def test_better_than_single_bad_seed_on_fragmented_graph(self):
-        rng = np.random.default_rng(5)
-        data = np.concatenate(
-            [rng.normal(0, 1, (50, 8)), rng.normal(50, 1, (50, 8))]
-        ).astype(np.float32)
-        graph = exact_knn_graph(data, 5).finalize()  # two disconnected halves
-        query = data[10] + 0.01
-        stuck = best_first_search(graph, data, query, np.asarray([70]), ef=10)
-        escaped = iterated_search(
-            graph, data, query,
-            lambda i: np.asarray([70]) if i == 0 else np.asarray([5]),
-            ef=10, max_restarts=2,
-        )
-        assert escaped.dists[0] < stuck.dists[0]
 
 
 class TestTwoStageSearch:
