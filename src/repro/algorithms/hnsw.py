@@ -98,6 +98,7 @@ class HNSW(GraphANNS):
         self.ef_construction = ef_construction
         self.level_mult = 1.0 / math.log(m)
         self.layers: list[Graph] = []
+        self.levels = np.zeros(0, dtype=np.int64)  # each vertex's top layer
         self.entry_point = 0
         self.max_level = 0
 
@@ -117,19 +118,19 @@ class HNSW(GraphANNS):
                 (-np.log(rng.random(n)) * self.level_mult).astype(np.int64),
                 12,
             )
+            self.levels = levels
             self.max_level = int(levels.max())
             self.layers = [Graph(n) for _ in range(self.max_level + 1)]
             order = rng.permutation(n)
             # start with the first point as the global entry
             first = int(order[0])
             self.entry_point = first
-            state["levels"] = levels
             state["order"] = order
             state["current_max"] = int(levels[first])
             state["rng"] = rng
 
         def insert_phase():
-            levels = state["levels"]
+            levels = self.levels
             current_max = state["current_max"]
             inserted_any = False
             for p in state["order"]:
@@ -159,9 +160,10 @@ class HNSW(GraphANNS):
         new_id = None
         for layer in self.layers:
             new_id = layer.add_vertex()
+        self.levels = np.append(self.levels, level)
         counter = DistanceCounter()
         self._insert(new_id, level, self.data, counter)
-        if level >= self._vertex_top_level(self.entry_point):
+        if level >= self.levels[self.entry_point]:
             self.entry_point = new_id
         for layer in self.layers:
             layer.finalize()
@@ -173,7 +175,7 @@ class HNSW(GraphANNS):
         self, p: int, level: int, data: np.ndarray, counter: DistanceCounter
     ) -> None:
         entry = self.entry_point
-        entry_level = self._vertex_top_level(entry)
+        entry_level = int(self.levels[entry])
         # greedy descent through layers above the insertion level
         for layer in range(entry_level, level, -1):
             entry = _greedy_step(self.layers[layer], data, entry, data[p], counter)
@@ -202,14 +204,6 @@ class HNSW(GraphANNS):
                     )
                     graph.set_neighbors(v, pruned)
             entries = result.ids if len(result.ids) else entries
-
-    def _vertex_top_level(self, v: int) -> int:
-        top = 0
-        for layer in range(self.max_level, 0, -1):
-            if self.layers[layer].neighbors(v) or layer == 0:
-                top = layer
-                break
-        return top
 
     def aux_size_bytes(self) -> int:
         """The hierarchy's upper layers (the paper's memory-usage caveat

@@ -39,8 +39,9 @@ class TestHNSWInternals:
         hnsw = HNSW(seed=3)
         hnsw.build(cloud)
         if hnsw.max_level >= 1:
+            # every vertex drawn above layer 0 is wired into its layers
             assert (
-                hnsw.layers[1].num_edges < hnsw.layers[0].num_edges
+                0 < hnsw.layers[1].num_edges < hnsw.layers[0].num_edges
             )
 
     def test_base_layer_degree_bounded(self, cloud):
