@@ -278,8 +278,8 @@ def _cmd_serve(args) -> int:
             index = load_index(path, mmap_vectors=True)
     config = ServingConfig(
         host=args.host, port=args.port,
-        max_wait_ms=args.max_wait_ms, max_batch=args.max_batch,
-        queue_depth=args.queue_depth, deadline_ms=args.deadline_ms,
+        max_batch=args.max_batch, queue_depth=args.queue_depth,
+        deadline_ms=args.deadline_ms,
         workers=args.workers, default_k=args.k, default_ef=args.ef,
         compressed=args.compressed, rerank_factor=args.rerank_factor,
     )
@@ -407,11 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     serving.add_argument("--host", default="127.0.0.1")
     serving.add_argument("--port", type=int, default=8080,
                          help="listen port (0 = ephemeral)")
-    serving.add_argument("--max-wait-ms", type=float, default=2.0,
-                         help="coalescing window before a partial batch "
-                              "flushes (default 2ms)")
     serving.add_argument("--max-batch", type=int, default=64,
-                         help="flush immediately at this many queries")
+                         help="most queries in one kernel call")
     serving.add_argument("--queue-depth", type=int, default=256,
                          help="admission bound: queued + in-flight "
                               "requests before 429s")

@@ -241,8 +241,8 @@ class Instruments:
             buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0))
         self.serving_coalesce_wait_seconds = registry.histogram(
             "repro_serving_coalesce_wait_seconds",
-            "Time a request waited in the coalescing window before "
-            "its batch flushed.")
+            "Time a request queued behind running batches before "
+            "its batch started.")
         self.serving_request_seconds = registry.histogram(
             "repro_serving_request_seconds",
             "End-to-end request latency (enqueue to response ready).")

@@ -1,14 +1,15 @@
-"""Async serving front door: dynamic micro-batching onto the fused
+"""Async serving front door: continuous batching onto the fused
 MT kernel.
 
-Concurrent single-query HTTP requests coalesce in a bounded time/size
-window into one ``search_batch`` call on the GIL-free multi-threaded C
-kernel, then demultiplex — each response bit-identical (ids and NDC)
-to a direct ``search()``.  Per-request deadlines ride the existing
-:class:`~repro.resilience.QueryBudget` + ``degraded`` machinery;
-admission control sheds load with 429/503 instead of collapsing; a
-draining server finishes in-flight batches before exiting.  See
-``docs/serving.md`` and ``python -m repro serve --help``.
+Concurrent single-query HTTP requests queue behind the running batch
+and start as one ``search_batch`` call on the GIL-free multi-threaded C
+kernel once a slot frees, then demultiplex — each response
+bit-identical (ids and NDC) to a direct ``search()``.  Per-request
+deadlines ride the existing :class:`~repro.resilience.QueryBudget` +
+``degraded`` machinery; admission control sheds load with 429/503
+instead of collapsing; a draining server finishes in-flight batches
+before exiting.  See ``docs/serving.md`` and ``python -m repro serve
+--help``.
 """
 
 from repro.serving.coalescer import (

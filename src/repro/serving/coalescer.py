@@ -1,27 +1,27 @@
-"""Dynamic micro-batching: many concurrent requests, one kernel call.
+"""Continuous batching: many concurrent requests, one kernel call.
 
 The single-query path answers ~thousands of QPS; the fused
 ``best_first_batch_mt`` kernel answers tens of thousands — but only if
 someone hands it batches.  The :class:`Coalescer` is that someone: it
-buffers concurrent single-query requests in a bounded window
-(``max_wait_ms`` wall-clock or ``max_batch`` queries, whichever first),
-runs the whole bucket through ``index.search_batch`` in one call, and
-demultiplexes per-request results.  Each response is bit-identical (ids
-and NDC) to a direct ``index.search()`` of that query — batching is a
-throughput transform, never a semantic one.
+queues concurrent single-query requests and, whenever one of its
+``inflight_batches`` kernel slots is free, runs up to ``max_batch`` of
+them through ``index.search_batch`` in one call (the running batch is
+the window), then demultiplexes per-request results.  Each response is
+bit-identical (ids and NDC) to a direct ``index.search()`` of that
+query — batching is a throughput transform, never a semantic one.
 
 Batches form per ``(k, ef, compressed, rerank_factor)`` key, because
 ``search_batch`` takes those as scalars and bit-identity demands exact
 parameters.  Deadlines are charged end-to-end: the remaining SLO is
-computed *at flush time* (queue wait already spent) and handed to the
-kernel as a per-query :class:`QueryBudget`, so an SLO-budgeted batch
+computed *as the batch starts* (queue wait already spent) and handed to
+the kernel as a per-query :class:`QueryBudget`, so an SLO-budgeted batch
 stays on the fused MT path and a request that runs out of time gets
 its best-k back flagged ``degraded`` rather than an error.
 
 Admission control is a simple bounded queue: more than ``queue_depth``
 requests waiting or in flight → :class:`Overloaded` (HTTP 429); a
 draining server → :class:`Draining` (503); a request whose deadline
-expired before its batch flushed → :class:`DeadlineExceeded` (504)
+expired before its batch started → :class:`DeadlineExceeded` (504)
 without wasting kernel time on it.
 
 The coalescer is duck-typed over anything exposing ``search_batch``
@@ -94,15 +94,12 @@ class CoalescerStats:
     rejected: dict = field(default_factory=lambda: {
         "overloaded": 0, "draining": 0, "expired": 0,
     })
-    batch_sizes: list = field(default_factory=list)
+    batched: int = 0                     # queries over all batches
     kernel_paths: dict = field(default_factory=dict)
 
     @property
     def mean_batch_size(self) -> float:
-        return (
-            sum(self.batch_sizes) / len(self.batch_sizes)
-            if self.batch_sizes else 0.0
-        )
+        return self.batched / self.batches if self.batches else 0.0
 
     def snapshot(self) -> dict:
         return {
@@ -117,20 +114,19 @@ class CoalescerStats:
 
 
 class Coalescer:
-    """Buffers requests and flushes them as fused-kernel batches.
+    """Queues requests and starts a fused-kernel batch per free slot.
 
     Must be used from a single asyncio event loop (the server's); the
-    ``search_batch`` calls themselves run in a small thread pool so the
-    loop keeps accepting requests while a batch computes — arrivals
-    during compute coalesce into the *next* batch, which is exactly the
-    adaptive batching a loaded server wants.
+    ``search_batch`` calls themselves run in ``inflight_batches`` pool
+    threads so the loop keeps accepting requests while a batch computes
+    — arrivals during compute coalesce into the *next* batch, which is
+    exactly the adaptive batching a loaded server wants.
     """
 
     def __init__(
         self,
         index,
         *,
-        max_wait_ms: float = 2.0,
         max_batch: int = 64,
         queue_depth: int = 256,
         workers: int = 1,
@@ -141,20 +137,21 @@ class Coalescer:
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         self.index = index
-        self.max_wait_s = max(0.0, float(max_wait_ms)) / 1000.0
         self.max_batch = int(max_batch)
         self.queue_depth = int(queue_depth)
         self.workers = int(workers)
+        self.inflight_batches = max(1, int(inflight_batches))
         self.stats = CoalescerStats()
-        self._buckets: dict[tuple, list[_Pending]] = {}
-        self._timers: dict[tuple, asyncio.TimerHandle] = {}
-        self._outstanding = 0           # queued + in a flying batch
+        self._buckets: dict[tuple, list[_Pending]] = {}  # oldest first
+        self._running = 0               # batches in the pool
+        self._pump_scheduled = False
+        self._outstanding = 0           # queued + in a running batch
         self._draining = False
         self._idle = asyncio.Event()
         self._idle.set()
         self._lock = threading.Lock()   # stats touched from executor
         self._pool = ThreadPoolExecutor(
-            max_workers=max(1, int(inflight_batches)),
+            max_workers=self.inflight_batches,
             thread_name_prefix="repro-serve",
         )
 
@@ -203,15 +200,11 @@ class Coalescer:
             handles = obs.instruments()
             handles.serving_requests_total.inc()
             handles.serving_queue_depth.set(self._outstanding)
-        key = request.batch_key
-        bucket = self._buckets.setdefault(key, [])
-        bucket.append(pending)
-        if len(bucket) >= self.max_batch:
-            self._flush(key)
-        elif len(bucket) == 1:
-            self._timers[key] = loop.call_later(
-                self.max_wait_s, self._flush, key
-            )
+        self._buckets.setdefault(request.batch_key, []).append(pending)
+        if self._running < self.inflight_batches and not self._pump_scheduled:
+            # one pump per loop tick: that tick's requests share a batch
+            self._pump_scheduled = True
+            loop.call_soon(self._pump)
         try:
             return await pending.future
         finally:
@@ -221,23 +214,28 @@ class Coalescer:
             if self._outstanding == 0:
                 self._idle.set()
 
-    # -- flushing --------------------------------------------------------
+    # -- batching --------------------------------------------------------
 
-    def _flush(self, key: tuple) -> None:
-        """Detach a bucket and compute it off-loop (called on the loop,
-        from the window timer or the max_batch trigger)."""
-        timer = self._timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
-        bucket = self._buckets.pop(key, None)
-        if not bucket:
-            return
+    def _pump(self) -> None:
+        """Start the oldest buckets while a kernel slot is free."""
+        self._pump_scheduled = False
+        while self._buckets and self._running < self.inflight_batches:
+            key = next(iter(self._buckets))
+            bucket = self._buckets.pop(key)
+            if len(bucket) > self.max_batch:
+                # the rest goes to the back of the queue: keys take turns
+                self._buckets[key] = bucket[self.max_batch:]
+                bucket = bucket[:self.max_batch]
+            self._start(key, bucket)
+
+    def _start(self, key: tuple, bucket: list[_Pending]) -> None:
+        """Hand one batch to a free slot, minus its expired requests."""
         loop = asyncio.get_running_loop()
 
-        flush_at = time.perf_counter()
+        start_at = time.perf_counter()
         live: list[_Pending] = []
         for p in bucket:
-            if p.deadline_at is not None and flush_at >= p.deadline_at:
+            if p.deadline_at is not None and start_at >= p.deadline_at:
                 # expired while queued — don't waste kernel time on it
                 self.stats.rejected["expired"] += 1
                 self._observe_rejection("expired")
@@ -255,7 +253,7 @@ class Coalescer:
         budgets = [
             p.request.make_budget(
                 None if p.deadline_at is None
-                else max(1e-4, p.deadline_at - flush_at)
+                else max(1e-4, p.deadline_at - start_at)
             )
             for p in live
         ]
@@ -277,15 +275,18 @@ class Coalescer:
             )
             return result, time.perf_counter() - started
 
+        self._running += 1
         task = loop.run_in_executor(self._pool, compute)
         task.add_done_callback(
-            lambda fut: self._resolve(fut, live, flush_at)
+            lambda fut: self._resolve(fut, live, start_at)
         )
 
-    def _resolve(self, fut, live: list[_Pending], flush_at: float) -> None:
-        """Demultiplex one finished batch back onto its futures (runs on
-        the loop — run_in_executor futures complete there)."""
+    def _resolve(self, fut, live: list[_Pending], start_at: float) -> None:
+        """Start the next batch in the freed slot, then demultiplex this
+        one onto its futures (on the loop, where executor futures land)."""
         done_at = time.perf_counter()
+        self._running -= 1
+        self._pump()
         try:
             result, index_s = fut.result()
         except Exception as exc:  # noqa: BLE001 - fail the whole bucket
@@ -299,7 +300,7 @@ class Coalescer:
         kernel_path = result.kernel_path
         with self._lock:
             self.stats.batches += 1
-            self.stats.batch_sizes.append(batch_size)
+            self.stats.batched += batch_size
             self.stats.kernel_paths[kernel_path] = (
                 self.stats.kernel_paths.get(kernel_path, 0) + 1
             )
@@ -314,7 +315,7 @@ class Coalescer:
             if result.errors[i] is not None:
                 p.future.set_exception(RequestFailed(result.errors[i]))
                 continue
-            wait_s = flush_at - p.enqueued
+            wait_s = start_at - p.enqueued
             total_s = done_at - p.enqueued
             degraded = bool(result.degraded[i])
             with self._lock:
@@ -342,11 +343,10 @@ class Coalescer:
     # -- shutdown --------------------------------------------------------
 
     async def drain(self, timeout_s: float = 30.0) -> bool:
-        """Stop admitting, flush everything queued, wait for in-flight
+        """Stop admitting, run everything queued, wait for the running
         batches to finish.  Returns True when fully drained."""
         self._draining = True
-        for key in list(self._buckets):
-            self._flush(key)
+        self._pump()
         try:
             await asyncio.wait_for(self._idle.wait(), timeout=timeout_s)
             return True

@@ -75,8 +75,8 @@ class SearchRequest:
 
     def make_budget(self, remaining_s: float | None) -> QueryBudget | None:
         """The :class:`QueryBudget` for this request given ``remaining_s``
-        seconds until its deadline (computed by the coalescer at flush
-        time, so queue wait is charged against the SLO)."""
+        seconds until its deadline (computed by the coalescer when the
+        batch starts, so queue wait is charged against the SLO)."""
         if remaining_s is None and self.max_ndc is None and self.max_hops is None:
             return None
         return QueryBudget(

@@ -10,14 +10,14 @@ Routes:
 * ``POST /search`` — one query vector (see ``protocol.py``); answers
   200 with the bit-identical search result, 400 on a malformed
   request, 429 when the bounded queue is full, 503 while draining,
-  504 when the request's deadline expired before its batch flushed.
+  504 when the request's deadline expired before its batch started.
 * ``GET /healthz`` — 200 ``{"status": "ok"}`` (503 while draining).
 * ``GET /stats`` — coalescer counters as JSON.
 * ``GET /metrics`` — Prometheus text exposition of the process
   registry (serving instruments included when metrics are enabled).
 
 Shutdown is a graceful drain: SIGINT/SIGTERM stop admissions (new
-requests see 503), queued buckets flush, in-flight batches finish and
+requests see 503), queued requests run, in-flight batches finish and
 their responses go out, then the listener closes.
 """
 
@@ -63,8 +63,7 @@ class ServingConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    max_wait_ms: float = 2.0        # coalescing window
-    max_batch: int = 64             # flush threshold
+    max_batch: int = 64             # queries per kernel call
     queue_depth: int = 256          # admission bound (queued + in flight)
     deadline_ms: float | None = None  # default per-request SLO
     workers: int = 1                # MT kernel threads per batch
@@ -85,7 +84,6 @@ class Server:
         self.dim = int(self._index_dim(index))
         self.coalescer = Coalescer(
             index,
-            max_wait_ms=self.config.max_wait_ms,
             max_batch=self.config.max_batch,
             queue_depth=self.config.queue_depth,
             workers=self.config.workers,
@@ -280,8 +278,7 @@ def serve(index, config: ServingConfig | None = None) -> None:
             loop.add_signal_handler(sig, stop.set)
         print(
             f"repro serving on {server.address} "
-            f"(window={server.config.max_wait_ms}ms, "
-            f"max_batch={server.config.max_batch}, "
+            f"(max_batch={server.config.max_batch}, "
             f"queue_depth={server.config.queue_depth})",
             flush=True,
         )

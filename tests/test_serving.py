@@ -20,17 +20,24 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
 from repro import _native
+from repro.batch import BatchQueryResult
 from repro.serving import (
     BackgroundServer,
     Coalescer,
+    DeadlineExceeded,
     Draining,
     Overloaded,
     ProtocolError,
@@ -98,6 +105,70 @@ def run_concurrent_submits(coalescer, requests):
     return asyncio.run(go())
 
 
+def fake_result(n: int, k: int, workers: int) -> BatchQueryResult:
+    return BatchQueryResult(
+        ids=np.zeros((n, k), dtype=np.int64),
+        dists=np.zeros((n, k)),
+        ndc=np.ones(n, dtype=np.int64),
+        hops=np.zeros(n, dtype=np.int64),
+        visited=np.zeros(n, dtype=np.int64),
+        elapsed_s=0.0, workers=workers,
+        errors=[None] * n,
+        degraded=np.zeros(n, dtype=bool),
+        kernel_path="fake",
+    )
+
+
+class GatedIndex:
+    """Duck-typed index whose ``search_batch`` blocks until ``gate`` is
+    set, and records each call: entry time, queries, k, budgets."""
+
+    dim = DIM
+
+    def __init__(self):
+        self.gate = threading.Event()
+        self.calls: list[dict] = []
+
+    @property
+    def sizes(self) -> list[int]:
+        return [len(call["queries"]) for call in self.calls]
+
+    def search_batch(self, queries, k=10, ef=None, workers=1,
+                     budget=None, **_):
+        self.calls.append({
+            "entered": time.perf_counter(), "queries": queries.copy(),
+            "k": k, "budget": budget,
+        })
+        self.gate.wait(timeout=30.0)
+        return fake_result(len(queries), k, workers)
+
+
+def run_behind_blocker(coalescer, index, requests, spacing_s=0.0):
+    """Start one request alone so it holds the only kernel slot, submit
+    ``requests`` (``spacing_s`` apart) while it is held, then open the
+    gate.  Returns the queued requests' results in order."""
+
+    async def go():
+        blocker = asyncio.ensure_future(
+            coalescer.submit(make_request(np.zeros(DIM)))
+        )
+        await asyncio.sleep(0.005)           # the blocker is in the kernel
+        queued = []
+        for request in requests:
+            queued.append(asyncio.ensure_future(coalescer.submit(request)))
+            await asyncio.sleep(spacing_s)
+        await asyncio.sleep(0.005)
+        index.gate.set()
+        await blocker
+        return await asyncio.gather(*queued, return_exceptions=True)
+
+    try:
+        return asyncio.run(go())
+    finally:
+        index.gate.set()
+        coalescer.close()
+
+
 # -- protocol ------------------------------------------------------------
 
 
@@ -150,7 +221,7 @@ class TestCoalescerBitIdentity:
         self, served_index, query_set, sequential_reference
     ):
         coalescer = Coalescer(
-            served_index, max_wait_ms=10.0, max_batch=16, workers=2
+            served_index, max_batch=16, workers=2
         )
         requests = [make_request(q) for q in query_set]
         results = run_concurrent_submits(coalescer, requests)
@@ -168,7 +239,7 @@ class TestCoalescerBitIdentity:
         self, served_index, query_set, sequential_reference
     ):
         coalescer = Coalescer(
-            served_index, max_wait_ms=10.0, max_batch=16, workers=2
+            served_index, max_batch=16, workers=2
         )
         requests = [make_request(q, deadline_ms=60_000) for q in query_set]
         results = run_concurrent_submits(coalescer, requests)
@@ -186,7 +257,7 @@ class TestCoalescerBitIdentity:
         """The fast-path fix under test: SLO-budgeted batches must run
         the fused MT kernel, not the chunked Python fallback."""
         coalescer = Coalescer(
-            served_index, max_wait_ms=10.0, max_batch=16, workers=2
+            served_index, max_batch=16, workers=2
         )
         requests = [make_request(q, deadline_ms=60_000) for q in query_set]
         results = run_concurrent_submits(coalescer, requests)
@@ -198,7 +269,7 @@ class TestCoalescerBitIdentity:
         """Heterogeneous SLOs in one batch: the hopeless deadline
         degrades its own request only."""
         coalescer = Coalescer(
-            served_index, max_wait_ms=10.0, max_batch=len(query_set), workers=2
+            served_index, max_batch=len(query_set), workers=2
         )
         requests = [make_request(q, deadline_ms=60_000) for q in query_set]
         # one request with an un-meetable NDC cap instead of a tiny
@@ -212,7 +283,7 @@ class TestCoalescerBitIdentity:
 
     def test_tiny_deadline_degrades_not_errors(self, served_index, query_set):
         coalescer = Coalescer(
-            served_index, max_wait_ms=0.0, max_batch=8, workers=2
+            served_index, max_batch=8, workers=2
         )
         # 10ms SLO: admitted (not expired in queue) but fires mid-walk
         # only if the walk is slow; either way the response is a valid
@@ -228,7 +299,7 @@ class TestCoalescerBitIdentity:
         """Different (k, ef) never share a batch — bit-identity demands
         exact parameters."""
         coalescer = Coalescer(
-            served_index, max_wait_ms=10.0, max_batch=64, workers=2
+            served_index, max_batch=64, workers=2
         )
         requests = [
             make_request(q, k=5 if i % 2 else K) for i, q in enumerate(query_set)
@@ -249,7 +320,7 @@ class TestCoalescerResilience:
         isolated by the batch layer; its batchmates still answer
         bit-identically."""
         coalescer = Coalescer(
-            served_index, max_wait_ms=10.0, max_batch=8, workers=2
+            served_index, max_batch=8, workers=2
         )
         requests = [make_request(q) for q in query_set[:8]]
         poisoned = make_request(query_set[2])
@@ -276,22 +347,10 @@ class TestCoalescerResilience:
             def search_batch(self, queries, k=10, ef=None, workers=1,
                              budget=None, **_):
                 time.sleep(0.25)
-                n = len(queries)
-                from repro.batch import BatchQueryResult
-                return BatchQueryResult(
-                    ids=np.zeros((n, k), dtype=np.int64),
-                    dists=np.zeros((n, k)),
-                    ndc=np.ones(n, dtype=np.int64),
-                    hops=np.zeros(n, dtype=np.int64),
-                    visited=np.zeros(n, dtype=np.int64),
-                    elapsed_s=0.25, workers=workers,
-                    errors=[None] * n,
-                    degraded=np.zeros(n, dtype=bool),
-                    kernel_path="fake",
-                )
+                return fake_result(len(queries), k, workers)
 
         coalescer = Coalescer(
-            SlowIndex(), max_wait_ms=0.0, max_batch=4, queue_depth=8,
+            SlowIndex(), max_batch=4, queue_depth=8,
         )
         requests = [make_request(q) for q in query_set[:32]]
         results = run_concurrent_submits(coalescer, requests)
@@ -302,27 +361,71 @@ class TestCoalescerResilience:
         assert len(answered) >= 8
         assert coalescer.stats.rejected["overloaded"] == len(rejected)
 
-    def test_expired_in_queue_rejected_without_kernel_time(
-        self, served_index, query_set
-    ):
-        """A deadline that lapses before the window flushes is answered
-        with DeadlineExceeded, not given to the kernel."""
-        coalescer = Coalescer(
-            served_index, max_wait_ms=80.0, max_batch=1024, workers=2
-        )
+    def test_expired_in_queue_rejected_without_kernel_time(self, query_set):
+        """A deadline that lapses while the request queues behind a
+        running batch is answered with DeadlineExceeded, not given to
+        the kernel."""
+        index = GatedIndex()
+        coalescer = Coalescer(index, max_batch=1024)
         requests = [
             make_request(q, deadline_ms=1.0) for q in query_set[:4]
         ]
-        results = run_concurrent_submits(coalescer, requests)
-        coalescer.close()
-        from repro.serving import DeadlineExceeded
+        results = run_behind_blocker(coalescer, index, requests)
         assert all(isinstance(r, DeadlineExceeded) for r in results)
         assert coalescer.stats.rejected["expired"] == len(requests)
-        assert coalescer.stats.batches == 0
+        assert coalescer.stats.batches == 1      # the blocker only
+        assert index.sizes == [1]
+
+    def test_queued_batch_is_charged_its_pool_wait(self, query_set):
+        """The remaining SLO handed to the kernel counts every moment
+        since admission, including the wait behind a running batch: a
+        request whose deadline passed meanwhile never reaches the
+        index, and a live one's budget is cut by its wait."""
+        index = GatedIndex()
+        coalescer = Coalescer(index, max_batch=8)
+        slo_s = {1: 0.050, 2: 2.0}
+        admitted: dict[int, float] = {}
+
+        async def go():
+            blocker = asyncio.ensure_future(
+                coalescer.submit(make_request(query_set[0]))
+            )
+            await asyncio.sleep(0.010)       # the blocker is in the kernel
+            queued = []
+            for i, slo in slo_s.items():
+                admitted[i] = time.perf_counter()
+                queued.append(asyncio.ensure_future(coalescer.submit(
+                    make_request(query_set[i], deadline_ms=slo * 1000.0)
+                )))
+            await asyncio.sleep(0.090)
+            index.gate.set()
+            await blocker
+            return await asyncio.gather(*queued, return_exceptions=True)
+
+        try:
+            late, live = asyncio.run(go())
+        finally:
+            index.gate.set()
+            coalescer.close()
+        assert isinstance(late, DeadlineExceeded)
+        assert isinstance(live, dict), live
+        assert coalescer.stats.rejected["expired"] == 1
+        assert index.sizes == [1, 1]
+        tolerance_s = 0.010
+        for call in index.calls:
+            for row, budget in zip(call["queries"], call["budget"] or []):
+                if budget is None:
+                    continue
+                i = next(i for i in slo_s
+                         if np.array_equal(row, query_set[i]))
+                since_admission = call["entered"] - admitted[i]
+                assert budget.deadline_s <= (
+                    slo_s[i] - since_admission + tolerance_s
+                ), (i, budget.deadline_s, since_admission)
 
     def test_drain_refuses_new_finishes_inflight(self, served_index, query_set):
         coalescer = Coalescer(
-            served_index, max_wait_ms=1000.0, max_batch=1024, workers=2
+            served_index, max_batch=1024, workers=2
         )
 
         async def go():
@@ -347,6 +450,49 @@ class TestCoalescerResilience:
             assert got["ndc"] == want.ndc
 
 
+class TestContinuousBatching:
+    """A batch starts whenever a kernel slot is free, so requests that
+    arrive while one runs form the next batch together."""
+
+    def test_arrivals_behind_a_running_batch_share_the_next(
+        self, query_set
+    ):
+        index = GatedIndex()
+        coalescer = Coalescer(index, max_batch=64)
+        requests = [make_request(q) for q in query_set[:5]]
+        results = run_behind_blocker(
+            coalescer, index, requests, spacing_s=0.005
+        )
+        assert index.sizes == [1, 5]
+        assert [r["batch_size"] for r in results] == [5] * 5
+        assert np.array_equal(index.calls[1]["queries"], query_set[:5])
+
+    def test_full_bucket_runs_in_max_batch_slices_in_arrival_order(
+        self, query_set
+    ):
+        index = GatedIndex()
+        coalescer = Coalescer(index, max_batch=8)
+        requests = [make_request(q) for q in query_set[:20]]
+        results = run_behind_blocker(coalescer, index, requests)
+        assert all(isinstance(r, dict) for r in results)
+        assert index.sizes == [1, 8, 8, 4]
+        assert np.array_equal(
+            np.concatenate([call["queries"] for call in index.calls[1:]]),
+            query_set[:20],
+        )
+
+    def test_queued_keys_take_turns(self, query_set):
+        index = GatedIndex()
+        coalescer = Coalescer(index, max_batch=4)
+        requests = [
+            make_request(q, k=5 if i % 2 else K)
+            for i, q in enumerate(query_set[:20])
+        ]
+        run_behind_blocker(coalescer, index, requests)
+        assert [call["k"] for call in index.calls] == [K, K, 5, K, 5, K, 5]
+        assert index.sizes == [1, 4, 4, 4, 4, 2, 2]
+
+
 # -- composition: sharded and mutable indexes ---------------------------
 
 
@@ -362,7 +508,7 @@ class TestComposition:
         )
         reference = sharded.search_batch(query_set, k=K, ef=EF)
         coalescer = Coalescer(
-            sharded, max_wait_ms=10.0, max_batch=16, workers=2
+            sharded, max_batch=16, workers=2
         )
         results = run_concurrent_submits(
             coalescer, [make_request(q) for q in query_set]
@@ -383,7 +529,7 @@ class TestComposition:
             index.insert(row)
         reference = [index.search(q, k=K, ef=EF) for q in query_set[:16]]
         coalescer = Coalescer(
-            index, max_wait_ms=10.0, max_batch=8, workers=2
+            index, max_batch=8, workers=2
         )
         results = run_concurrent_submits(
             coalescer, [make_request(q) for q in query_set[:16]]
@@ -402,7 +548,7 @@ class TestHTTPServer:
     @pytest.fixture(scope="class")
     def server(self, served_index):
         config = ServingConfig(
-            port=0, max_wait_ms=5.0, max_batch=16, workers=2,
+            port=0, max_batch=16, workers=2,
             default_k=K, default_ef=EF,
         )
         with BackgroundServer(served_index, config) as background:
@@ -527,7 +673,7 @@ class TestHTTPServer:
 class TestHTTPDrain:
     def test_draining_server_503s_then_stops(self, served_index, query_set):
         config = ServingConfig(
-            port=0, max_wait_ms=5.0, max_batch=16, workers=2,
+            port=0, max_batch=16, workers=2,
             default_k=K, default_ef=EF,
         )
         background = BackgroundServer(served_index, config).start()
@@ -551,3 +697,54 @@ class TestHTTPDrain:
             conn.close()
         finally:
             background.stop()
+
+
+# -- the repro serve command ---------------------------------------------
+
+
+class TestServeCommand:
+    def test_serve_answers_like_search_and_drains_on_sigint(self):
+        """``repro serve`` end to end: it builds, listens on an
+        ephemeral port, answers one query with the ids and NDC of an
+        in-process ``search()`` on the same build, and drains cleanly
+        on SIGINT."""
+        from repro.datasets import load_dataset
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "nsg", "audio",
+             "--n", "300", "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        watchdog = threading.Timer(120.0, proc.kill)
+        watchdog.start()
+        try:
+            banner = proc.stdout.readline()
+            assert banner.startswith("repro serving on http://"), (
+                banner, proc.stderr.read() if proc.poll() is not None else ""
+            )
+            port = int(banner.split("http://", 1)[1].split()[0]
+                       .rsplit(":", 1)[1])
+            dataset = load_dataset("audio", cardinality=300, num_queries=1)
+            query = dataset.queries[0]
+            status, body = post_json(port, {"vector": query.tolist()})
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert status == 200, body
+        index = repro.create("nsg", seed=0)
+        index.build(dataset.base)
+        want = index.search(query, k=10, ef=64)
+        assert body["ids"] == [int(v) for v in want.ids]
+        assert body["ndc"] == want.ndc
+        assert proc.returncode == 0, err
+        assert "draining" in out and "stopped" in out
