@@ -70,7 +70,6 @@ def test_component_swap(benchmark, component, choice, dataset_name):
             donor = _graph_cache[graph_key]
             bench.data = donor.data
             bench.graph = donor.graph
-            bench.phase_times = dict(donor.phase_times)
             bench.seed_provider = bench._make_seed_provider()
             bench.seed_provider.prepare(bench.data, bench.graph)
             bench._deleted = donor._deleted

@@ -477,24 +477,33 @@ int64_t best_first_batch_mt(
 }
 """
 
-_I64 = ctypes.c_int64
-_PF32 = np.ctypeslib.ndpointer(np.float32, flags="C_CONTIGUOUS")
-_PF64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-_PI32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-_PI64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-_PU8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
+_INT64 = ctypes.c_int64
+_DOUBLE = ctypes.c_double
+#: every array parameter crosses as a raw address; :func:`_addr` makes the
+#: checks (dtype, C-contiguity, None -> NULL) once per array, and a
+#: context's long-lived arrays are checked once per binding
+_PTR = ctypes.c_void_p
+_F32, _F64, _I32, _I64, _U8 = map(
+    np.dtype, (np.float32, np.float64, np.int32, np.int64, np.uint8)
+)
 
 
-def _nullable(ptr):
-    """``ptr`` that also accepts ``None``, passed to C as NULL."""
-    def from_param(cls, obj):
-        return None if obj is None else ptr.from_param(obj)
+def _addr(arr, dtype):
+    """Buffer address of ``arr`` for a ``c_void_p`` parameter.
 
-    return type(f"Nullable{ptr.__name__}", (ptr,),
-                {"from_param": classmethod(from_param)})
+    Makes the checks NumPy's typed-pointer argtypes made: an ndarray of
+    exactly ``dtype``, C-contiguous; ``None`` passes as NULL.
+    Anything else raises :class:`TypeError` before C can dereference it.
+    """
+    if arr is None:
+        return None
+    if (not isinstance(arr, np.ndarray) or arr.dtype != dtype
+            or not arr.flags.c_contiguous):
+        got = (f"{arr.dtype} array, C-contiguous={arr.flags.c_contiguous}"
+               if isinstance(arr, np.ndarray) else type(arr).__name__)
+        raise TypeError(f"expected a C-contiguous {dtype} array, got {got}")
+    return arr.ctypes.data
 
-
-_NF32, _NF64, _NI32, _NU8 = map(_nullable, (_PF32, _PF64, _PI32, _PU8))
 
 #: why the native kernel is unavailable (None when LIB loaded, or the
 #: deliberate-opt-out/compile/load failure reason otherwise)
@@ -565,7 +574,7 @@ def _build_library() -> ctypes.CDLL | None:
         LOAD_ERROR_KIND = _classify_failure("load", str(exc))
         return None
     lib.sq_dists_to_rows.argtypes = [
-        _PF32, _I64, _I64, _PF64, ctypes.c_double, _PF64, _PF64,
+        _PTR, _INT64, _INT64, _PTR, _DOUBLE, _PTR, _PTR,
     ]
     lib.sq_dists_to_rows.restype = None
     # the C walk's full parameter list: data, d, norms, indptr, indices, counts,
@@ -573,23 +582,23 @@ def _build_library() -> ctypes.CDLL | None:
     # max_hops, deadline, visit_gen, gen, cd, ci, rd, ri, out_ids,
     # out_sq, vis_ids, vis_sq, stats
     lib.best_first.argtypes = [
-        _NF32, _I64, _NF64, _PI32, _PI32, _NI32,
-        _NU8, _NF32, _I64, _I64, _NF64, ctypes.c_double,
-        _PI64, _I64, _I64, _I64, _I64, ctypes.c_double, _PI64, _I64,
-        _PF64, _PI32, _PF64, _PI32, _PI32, _PF64, _NI32, _NF64, _PI64,
+        _PTR, _INT64, _PTR, _PTR, _PTR, _PTR,
+        _PTR, _PTR, _INT64, _INT64, _PTR, _DOUBLE,
+        _PTR, _INT64, _INT64, _INT64, _INT64, _DOUBLE, _PTR, _INT64,
+        _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
     ]
-    lib.best_first.restype = _I64
+    lib.best_first.restype = _INT64
     lib.best_first_batch_mt.argtypes = [
-        _NF32, _I64, _I64, _NF64, _PI32, _PI32,
-        _NU8, _NF32, _I64, _I64, _NF64, _NF64, _I64,
-        _PI64, _PI64, _I64, _PI64, _PI64, _PF64,
-        _PI32, _PF64, _PI64, _PI64, _I64, _PF64,
+        _PTR, _INT64, _INT64, _PTR, _PTR, _PTR,
+        _PTR, _PTR, _INT64, _INT64, _PTR, _PTR, _INT64,
+        _PTR, _PTR, _INT64, _PTR, _PTR, _PTR,
+        _PTR, _PTR, _PTR, _PTR, _INT64, _PTR,
     ]
-    lib.best_first_batch_mt.restype = _I64
+    lib.best_first_batch_mt.restype = _INT64
     lib.select_rng.argtypes = [
-        _PF32, _I64, _I64, _PF64, _I64, ctypes.c_double, _PI64,
+        _PTR, _INT64, _INT64, _PTR, _INT64, _DOUBLE, _PTR,
     ]
-    lib.select_rng.restype = _I64
+    lib.select_rng.restype = _INT64
     LOAD_ERROR = None
     LOAD_ERROR_KIND = None
     return lib
@@ -651,42 +660,116 @@ def sq_dists_to_rows(
     """C version of the expanded-form kernel (rows must be float32)."""
     out = np.empty(len(rows), dtype=np.float64)
     LIB.sq_dists_to_rows(
-        rows, len(rows), rows.shape[1] if rows.ndim == 2 else 0,
-        query64, query_sq, rows_sq, out,
+        _addr(rows, _F32), len(rows), rows.shape[1] if rows.ndim == 2 else 0,
+        _addr(query64, _F64), query_sq, _addr(rows_sq, _F64),
+        _addr(out, _F64),
     )
     return out
 
 
+class _Binding:
+    """A context's checked kernel arguments for one graph layout.
+
+    The serial walk passes 29 arguments, and most of them are arrays
+    that outlive the call: the float32 tier and its norms (or the PQ
+    codes), the adjacency arrays, the epoch array, the heaps and the
+    output buffers.  A binding checks each of them once and keeps its
+    address, so a call checks only what changes per query (the query,
+    the seeds, the LUT).  It holds the arrays themselves, so no bound
+    address can outlive its buffer; :func:`_bind` replaces the binding
+    whenever one of them is replaced (a new CSR after repair,
+    consolidation or reordering, a new compressed tier, regrown heaps).
+    """
+
+    __slots__ = (
+        "data", "visit_gen", "indptr", "indices", "counts", "codes", "cap",
+        "arrays", "head", "gen_addr", "tail", "out_ids", "out_sq", "stats",
+        "record_tail",
+    )
+
+    def __init__(self, ctx, indptr, indices, counts, codes, ef):
+        self.data, self.visit_gen = ctx.data, ctx.visit_gen
+        self.indptr, self.indices, self.counts = indptr, indices, counts
+        self.codes = codes
+        cd, ci, rd, ri = ctx.native_scratch(ef)
+        self.cap = len(rd)
+        self.out_ids = np.empty(self.cap, dtype=np.int32)
+        self.out_sq = np.empty(self.cap, dtype=np.float64)
+        self.stats = np.empty(4, dtype=np.int64)
+        if codes is None:
+            norms = ctx.norms_sq
+            scored = (_addr(ctx.data, _F32), ctx.data.shape[1],
+                      _addr(norms, _F64))
+        else:   # ADC scoring never reads the float32 tier
+            norms = None
+            scored = (None, 0, None)
+        #: everything whose address is cached, kept alive with it
+        self.arrays = [norms, cd, ci, rd, ri]
+        self.head = scored + (
+            _addr(indptr, _I32), _addr(indices, _I32), _addr(counts, _I32),
+            _addr(codes, _U8),
+        )
+        self.gen_addr = _addr(ctx.visit_gen, _I64)
+        # cd, ci, rd, ri, out_ids, out_sq, vis_ids, vis_sq, stats
+        self.tail = (
+            _addr(cd, _F64), _addr(ci, _I32), _addr(rd, _F64),
+            _addr(ri, _I32), _addr(self.out_ids, _I32),
+            _addr(self.out_sq, _F64), None, None, _addr(self.stats, _I64),
+        )
+        self.record_tail = None
+
+    def recording(self, ctx):
+        """The tail that also fills the visited log (bound on first use)."""
+        if self.record_tail is None:
+            vis_ids, vis_sq = ctx.visited_scratch()
+            self.arrays += [vis_ids, vis_sq]
+            self.record_tail = self.tail[:6] + (
+                _addr(vis_ids, _I32), _addr(vis_sq, _F64), self.tail[8],
+            )
+        return self.record_tail
+
+
+def _bind(ctx, indptr, indices, counts, ef) -> _Binding:
+    """``ctx``'s binding for this layout, rebound if any array moved."""
+    tier = ctx.compressed
+    codes = None if tier is None else tier.codes
+    b = ctx.native_binding
+    if (b is None or ef > b.cap or b.indices is not indices
+            or b.indptr is not indptr or b.counts is not counts
+            or b.codes is not codes or b.data is not ctx.data
+            or b.visit_gen is not ctx.visit_gen):
+        b = ctx.native_binding = _Binding(ctx, indptr, indices, counts,
+                                          codes, ef)
+    return b
+
+
 def _walk(ctx, indptr, indices, counts, query64, query_sq, seeds, ef,
-          max_ndc=-1, max_hops=-1, deadline=0.0, vis_ids=None, vis_sq=None):
+          max_ndc=-1, max_hops=-1, deadline=0.0, record=False):
     """One serial C walk on ``ctx``'s scratch at its current generation.
 
     Scores exactly against ``ctx.data``, or — when ``ctx.compressed``
     is set — from the tier's uint8 codes through ``ctx.lut`` without
-    reading a float32 row.  ``deadline`` is an absolute
-    ``time.monotonic()`` second count (``<= 0`` means none).  Returns
-    ``(rlen, out_ids, out_sq, stats)``.
+    reading a float32 row.  ``deadline`` is an
+    absolute ``time.monotonic()`` second count (``<= 0`` means none);
+    ``record`` fills the context's visited log.  Returns ``(rlen,
+    out_ids, out_sq, stats)``, all buffers of the binding that the next
+    walk on ``ctx`` overwrites.
     """
-    cd, ci, rd, ri = ctx.native_scratch(ef)
-    out_ids = np.empty(ef, dtype=np.int32)
-    out_sq = np.empty(ef, dtype=np.float64)
-    stats = np.empty(4, dtype=np.int64)
-    tier = ctx.compressed
-    if tier is None:
-        data, d, norms = ctx.data, ctx.data.shape[1], ctx.norms_sq
-        codes = lut = None
-        pqm = pqk = 0
+    b = _bind(ctx, indptr, indices, counts, ef)
+    if b.codes is None:
+        lut, pqm, pqk = None, 0, 0
+        query = _addr(query64, _F64)
     else:
-        data, d, norms, query64 = None, 0, None, None
-        codes, lut = tier.codes, ctx.lut
-        pqm, pqk = codes.shape[1], lut.shape[1]
+        lut, query = ctx.lut, None
+        pqm, pqk = b.codes.shape[1], lut.shape[1]
+        lut = _addr(lut, _F32)
     rlen = LIB.best_first(
-        data, d, norms, indptr, indices, counts, codes, lut, pqm, pqk,
-        query64, query_sq, seeds, len(seeds), ef, max_ndc, max_hops, deadline,
-        ctx.visit_gen, ctx.generation, cd, ci, rd, ri, out_ids, out_sq,
-        vis_ids, vis_sq, stats,
+        *b.head, lut, pqm, pqk, query, query_sq,
+        _addr(seeds, _I64), len(seeds), ef, max_ndc, max_hops, deadline,
+        b.gen_addr, ctx.generation,
+        *(b.recording(ctx) if record else b.tail),
     )
-    return rlen, out_ids, out_sq, stats
+    return rlen, b.out_ids, b.out_sq, b.stats
 
 
 def best_first(ctx, graph, query64, query_sq, seeds, ef,
@@ -711,7 +794,7 @@ def best_first(ctx, graph, query64, query_sq, seeds, ef,
     )
     return (
         out_ids[:rlen].astype(np.int64),
-        out_sq[:rlen],
+        out_sq[:rlen].copy(),
         int(stats[0]), int(stats[1]), int(stats[2]),
         _FIRED_LABELS[int(stats[3])],
     )
@@ -727,16 +810,14 @@ def best_first_build(ctx, indptr, indices, counts, query64, query_sq,
     graph is still evolving.  ``seeds`` must be unique int64 ids (the
     Python frontier uniques them too).  Consumes one visited generation
     from ``ctx``.  Returns ``(visited_ids, visited_sq, ndc)`` in
-    evaluation order; callers sort by ``(sq, id)`` to match the Python
-    frontier's output.
+    evaluation order, views of the context's visited log; callers sort
+    by ``(sq, id)`` to match the Python frontier's output.
     """
-    vis_ids, vis_sq = ctx.visited_scratch()
     ctx.generation += 1
-    _, _, _, stats = _walk(
-        ctx, indptr, indices, counts, query64, query_sq, seeds, ef,
-        vis_ids=vis_ids, vis_sq=vis_sq,
-    )
+    _, _, _, stats = _walk(ctx, indptr, indices, counts, query64, query_sq,
+                           seeds, ef, record=True)
     nvis = int(stats[2])
+    vis_ids, vis_sq = ctx.visited_scratch()
     return vis_ids[:nvis], vis_sq[:nvis], int(stats[0])
 
 
@@ -774,10 +855,15 @@ def _batch_mt(graph, nq, seed_indptr, seeds, ef, n_threads, max_ndcs,
     else:
         n, d, pqm, pqk = len(codes), 0, codes.shape[1], luts.shape[2]
     rc = LIB.best_first_batch_mt(
-        data, n, d, norms, indptr, indices, codes, luts, pqm, pqk,
-        queries, qsqs, nq, seed_indptr, seeds, ef,
-        max_ndcs, max_hops, deadlines,
-        out_ids, out_sq, out_len, stats, n_threads, thread_busy,
+        _addr(data, _F32), n, d, _addr(norms, _F64),
+        _addr(indptr, _I32), _addr(indices, _I32),
+        _addr(codes, _U8), _addr(luts, _F32), pqm, pqk,
+        _addr(queries, _F64), _addr(qsqs, _F64), nq,
+        _addr(seed_indptr, _I64), _addr(seeds, _I64), ef,
+        _addr(max_ndcs, _I64), _addr(max_hops, _I64),
+        _addr(deadlines, _F64),
+        _addr(out_ids, _I32), _addr(out_sq, _F64), _addr(out_len, _I64),
+        _addr(stats, _I64), n_threads, _addr(thread_busy, _F64),
     )
     if rc != 0:
         raise MemoryError(
@@ -839,6 +925,7 @@ def select_rng_scan(cross, cand_dists, max_degree, alpha=1.0):
     m = len(cand_dists)
     out = np.empty(m, dtype=np.int64)
     nsel = LIB.select_rng(
-        cross, m, cross.shape[1], cand_dists, max_degree, alpha, out,
+        _addr(cross, _F32), m, cross.shape[1], _addr(cand_dists, _F64),
+        max_degree, alpha, _addr(out, _I64),
     )
     return out[:nsel]

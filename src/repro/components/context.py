@@ -17,7 +17,9 @@ is reused across queries:
   expansion evaluates ``|q|^2 - 2 q.x + |x|^2`` against the cache with
   no difference matrix;
 * **native scratch** — heap buffers for the C best-first kernel when
-  the compiled extension is available.
+  the compiled extension is available, with the checked addresses of
+  every long-lived kernel argument bound once (``native_binding``)
+  instead of re-checked per call.
 
 One context serves one thread: workers in the batched query engine each
 construct their own (sharing the norm cache, which is immutable).
@@ -42,7 +44,7 @@ class SearchContext:
         "candidates", "results", "query64", "query_sq", "native", "trace",
         "compressed", "lut", "lut_override",
         "_norms_sq", "_cand_d", "_cand_i", "_res_d", "_res_i",
-        "_vis_i", "_vis_d",
+        "_vis_i", "_vis_d", "native_binding",
     )
 
     def __init__(self, data: np.ndarray, norms_sq: np.ndarray | None = None):
@@ -81,6 +83,9 @@ class SearchContext:
         self._res_i: np.ndarray | None = None
         self._vis_i: np.ndarray | None = None
         self._vis_d: np.ndarray | None = None
+        #: repro._native's bound kernel arguments (None until the first
+        #: native walk; replaced when any bound array is)
+        self.native_binding = None
 
     @property
     def norms_sq(self) -> np.ndarray:

@@ -31,6 +31,7 @@ DUAL_MODE_SUITES = [
     "tests/test_updates.py",
     "tests/test_serving.py",
     "tests/test_search_hashes.py",
+    "tests/test_native_binding.py",
 ]
 
 

@@ -40,12 +40,17 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.fixture(autouse=True)
 def _observability_isolation():
-    """Every test starts and ends with observability off and empty."""
+    """Every test starts with observability off and empty, and ends with
+    it empty in the mode it found (``REPRO_TRACE=1`` runs stay traced in
+    the test files that follow)."""
+    was_on, was_tracing = obs.enabled(), obs.tracing()
     obs.disable()
     obs.reset()
     yield
     obs.disable()
     obs.reset()
+    if was_on:
+        obs.enable(metrics=True, trace=was_tracing)
 
 
 @pytest.fixture()

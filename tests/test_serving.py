@@ -33,6 +33,7 @@ import pytest
 
 import repro
 from repro import _native
+from repro import observability as obs
 from repro.batch import BatchQueryResult
 from repro.serving import (
     BackgroundServer,
@@ -256,12 +257,21 @@ class TestCoalescerBitIdentity:
     ):
         """The fast-path fix under test: SLO-budgeted batches must run
         the fused MT kernel, not the chunked Python fallback."""
-        coalescer = Coalescer(
-            served_index, max_batch=16, workers=2
-        )
-        requests = [make_request(q, deadline_ms=60_000) for q in query_set]
-        results = run_concurrent_submits(coalescer, requests)
-        coalescer.close()
+        was_on, was_tracing = obs.enabled(), obs.tracing()
+        # hop tracing would keep every batch off the fused kernel
+        obs.enable(metrics=was_on, trace=False)
+        try:
+            coalescer = Coalescer(
+                served_index, max_batch=16, workers=2
+            )
+            requests = [make_request(q, deadline_ms=60_000)
+                        for q in query_set]
+            results = run_concurrent_submits(coalescer, requests)
+            coalescer.close()
+        finally:
+            obs.disable()
+            if was_on:
+                obs.enable(metrics=True, trace=was_tracing)
         assert all(r["kernel_path"] == "fused_mt" for r in results)
         assert set(coalescer.stats.kernel_paths) == {"fused_mt"}
 

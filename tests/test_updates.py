@@ -83,6 +83,7 @@ class TestInsert:
         index = create("nsg", seed=2)
         index.build(world.base)
         index.enable_compressed()
+        was_on, was_tracing = obs.enabled(), obs.tracing()
         obs.enable(metrics=True)
         try:
             index.insert(world.base[3] + 0.001)
@@ -94,6 +95,8 @@ class TestInsert:
             assert value >= 1
         finally:
             obs.disable()
+            if was_on:
+                obs.enable(metrics=True, trace=was_tracing)
 
     def test_hnsw_level_growth(self, world):
         index = create("hnsw", seed=2)
