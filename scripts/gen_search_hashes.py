@@ -11,7 +11,10 @@ answers a fixed query set once through a sequential ``search()`` loop
 and once through
 ``search_batch()``, and writes a ``{mode: {config: {"search": {...}, "batch": {...}}}}`` map of
 sha256 digests (ids, dists, per-query NDC, per-query hops) to
-``tests/data/search_hashes.json``.  Run once per mode::
+``tests/data/search_hashes.json``.  The plain delta variants also pin
+the side-graph the inserts built (``"delta"``: the digests of
+``DeltaTier.export_state()``'s indptr, neighbors and tombstones).
+Run once per mode::
 
     PYTHONPATH=src python scripts/gen_search_hashes.py
     REPRO_NO_NATIVE=1 PYTHONPATH=src python scripts/gen_search_hashes.py
@@ -75,6 +78,8 @@ VARIANTS = {
 DELTA_INSERTS, DELTA_SEED = 40, 9
 BASE_TOMBSTONES = (3, 17)
 DELTA_TOMBSTONE = 5   # the sixth inserted point
+#: variants whose delta side-graph is pinned as well as their answers
+DELTA_GRAPHS = ("nsg-delta", "hcnng-delta", "ieh-delta")
 
 CONFIGS = (
     sorted(ALGORITHMS) + ["kdr-rs"] + [f"framework-{c7}" for c7 in C7_CHOICES]
@@ -119,6 +124,20 @@ def digest(ids, dists, ndc, hops) -> dict[str, str]:
         "dists": np.asarray(dists, dtype=np.float64),
         "ndc": np.asarray(ndc, dtype=np.int64),
         "hops": np.asarray(hops, dtype=np.int64),
+    }
+    return {
+        key: hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+        for key, arr in arrays.items()
+    }
+
+
+def delta_digest(index) -> dict[str, str]:
+    """Hashes of the delta side-graph the pinned inserts built."""
+    _, indptr, neighbors, deleted, _ = index._delta.export_state()
+    arrays = {
+        "indptr": np.asarray(indptr, dtype=np.int64),
+        "neighbors": np.asarray(neighbors, dtype=np.int32),
+        "deleted": np.asarray(deleted, dtype=bool),
     }
     return {
         key: hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
@@ -184,10 +203,13 @@ def search_outputs(config: str) -> dict[str, dict[str, str]]:
     single = loop_digest(lambda q: index.search(q, **options), queries)
     index.seed_provider = provider
     batch = index.search_batch(queries, **options)
-    return {
+    outputs = {
         "search": single,
         "batch": digest(batch.ids, batch.dists, batch.ndc, batch.hops),
     }
+    if config in DELTA_GRAPHS:
+        outputs["delta"] = delta_digest(index)
+    return outputs
 
 
 def main() -> None:
