@@ -774,7 +774,10 @@ def _walk(ctx, indptr, indices, counts, query64, query_sq, seeds, ef,
 
 def best_first(ctx, graph, query64, query_sq, seeds, ef,
                max_ndc=-1, max_hops=-1, deadline=0.0):
-    """Run the whole best-first search in C against a frozen CSR graph.
+    """Run the whole best-first search in C against a frozen CSR graph,
+    or a graph-like object whose ``counts`` array gives each row's live
+    length (its ``csr()`` indptr then holds row starts, as in
+    :func:`best_first_build`).
 
     ``ctx`` is a :class:`repro.components.context.SearchContext` whose
     scratch buffers (epoch array, heaps) this call borrows; with
@@ -789,7 +792,7 @@ def best_first(ctx, graph, query64, query_sq, seeds, ef,
     """
     indptr, indices = graph.csr()
     rlen, out_ids, out_sq, stats = _walk(
-        ctx, indptr, indices, None, query64, query_sq, seeds, ef,
+        ctx, indptr, indices, graph.counts, query64, query_sq, seeds, ef,
         max_ndc, max_hops, deadline,
     )
     return (

@@ -6,19 +6,25 @@ natively, while refinement and divide-and-conquer graphs (NSG, Vamana,
 DPG, HCNNG, ...) are frozen at build time and must be rebuilt.  The
 :class:`DeltaTier` removes that asymmetry at the serving layer: new
 points land in a small NSW-style mutable side-graph with its own id
-range *above* the frozen base, every search walks both tiers (the base
-on the existing serial/MT C kernels, the delta in Python/NumPy — it is
-small by construction), and the two result lists merge deterministically
-by ``(distance, id)``.
+range *above* the frozen base, every search walks both tiers, and the
+two result lists merge deterministically by ``(distance, id)``.  Both
+tiers walk through the one best-first routine,
+:func:`repro.components.routing.best_first_search`: the serial C kernel
+when it is loaded (budgets and deadline handled in C), the shared NumPy
+frontier otherwise.
 
 Design points:
 
 * **Append-grown storage.**  Vectors live in a geometrically doubled
-  float32 block, adjacency in per-vertex Python lists — O(1) amortized
-  insertion, no CSR rebuild per insert.
-* **Deterministic NSW insertion.**  Each new point greedy-searches the
-  existing delta graph from vertex 0 (the first delta insert) with an
-  ef-bounded best-first walk and links undirected edges to its best
+  float32 block beside a float64 ``|x|²`` array filled at insert time.
+  Adjacency is the layout the C walk reads when it is given per-row
+  ``counts``: an int32 start offset and live count per row, and one flat
+  int32 pool.  Rows keep spare room; a full row moves to the end of the
+  pool with double its room.  Insertion is O(1) amortized, with no
+  degree cap and no CSR rebuild per insert.
+* **Deterministic NSW insertion.**  Each new point best-first searches
+  the existing delta graph from vertex 0 (the first delta insert) at
+  ``max(ef_construction, max_m)`` and links undirected edges to its best
   ``max_m`` neighbors.  No RNG: replaying the same insert sequence
   rebuilds the same side-graph bit for bit, which keeps consolidation
   carry-over and save/load round-trips reproducible.
@@ -26,9 +32,12 @@ Design points:
   as ``base_n + j``; tombstoned delta points still route (standard
   graph-ANNS deletion) but never surface in results.
 * **Budget honesty.**  The walk charges every distance evaluation to
-  the caller's counter and honors a :class:`QueryBudget` through the
-  same :class:`BudgetTracker` the base routing uses, so a two-tier
-  search never exceeds its NDC cap.
+  the caller's counter and honors a :class:`QueryBudget` exactly like
+  the base walk, so a two-tier search never exceeds its NDC cap.
+* **One lock.**  Inserts, deletes, walks and state exports hold the
+  tier's lock, so a walk (whose C call releases the GIL) never sees a
+  half-written row or a pool that was replaced under it, and two
+  threads merging the delta take turns on the tier's one context.
 
 Consolidation (rebuilding base+delta into a fresh frozen snapshot) is
 orchestrated by :meth:`repro.algorithms.base.GraphANNS.consolidate`;
@@ -38,18 +47,103 @@ answer queries.
 
 from __future__ import annotations
 
-import heapq
+import threading
 import time
 
 import numpy as np
 
-from repro.components.routing import SearchResult
+from repro.components.context import SearchContext
+from repro.components.routing import SearchResult, best_first_search
 from repro.distance import DistanceCounter
-from repro.resilience import BudgetTracker, QueryBudget
+from repro.resilience import QueryBudget
 
 __all__ = ["DeltaTier"]
 
 _INITIAL_CAPACITY = 16
+
+#: every delta walk enters at local vertex 0: the delta graph is
+#: connected by construction (every insert links to an earlier vertex)
+_ENTRY = np.zeros(1, dtype=np.int64)
+
+
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    """``|x|²`` per float32 row in float64 (row-for-row the same sum as
+    over a whole block, so inserts and a reload agree bit for bit)."""
+    return np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
+
+
+class _Adjacency:
+    """The delta graph in the serial C walk's counted-row layout.
+
+    Row ``u`` holds ``counts[u]`` neighbors at ``indices[indptr[u]:]``
+    with ``room[u]`` slots reserved; the pool is filled up to ``used``.
+    It is graph-like for :func:`best_first_search`: ``n``,
+    ``finalized``, ``csr()``, ``counts`` and ``neighbor_array``.
+    """
+
+    finalized = True
+
+    def __init__(self, capacity: int, row_room: int):
+        self.n = 0
+        self.row_room = row_room
+        self.indptr = np.zeros(capacity, dtype=np.int32)
+        self.counts = np.zeros(capacity, dtype=np.int32)
+        self.room = np.zeros(capacity, dtype=np.int32)
+        self.indices = np.empty(capacity * row_room, dtype=np.int32)
+        self.used = 0
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.indptr, self.indices
+
+    def neighbor_array(self, u: int) -> np.ndarray:
+        start = self.indptr[u]
+        return self.indices[start:start + self.counts[u]]
+
+    def grow_rows(self, capacity: int) -> None:
+        for name in ("indptr", "counts", "room"):
+            old = getattr(self, name)
+            grown = np.zeros(capacity, dtype=np.int32)
+            grown[: len(old)] = old
+            setattr(self, name, grown)
+
+    def _reserve(self, room: int) -> int:
+        """Start of ``room`` fresh slots at the end of the pool."""
+        start = self.used
+        if start + room > len(self.indices):
+            grown = np.empty(max(2 * len(self.indices), start + room),
+                             dtype=np.int32)
+            grown[:start] = self.indices[:start]
+            self.indices = grown
+        self.used = start + room
+        return start
+
+    def add_row(self, neighbors: np.ndarray) -> None:
+        """Append vertex ``n`` with out-edges ``neighbors``."""
+        u, count = self.n, len(neighbors)
+        room = max(self.row_room, count)
+        start = self._reserve(room)
+        self.indices[start:start + count] = neighbors
+        self.indptr[u], self.counts[u], self.room[u] = start, count, room
+        self.n = u + 1
+
+    def append(self, u: int, v: int) -> None:
+        """Add the edge ``u -> v``; a full row moves with double room."""
+        count = int(self.counts[u])
+        if count == self.room[u]:
+            room = max(2 * count, self.row_room)
+            start = self._reserve(room)
+            old = int(self.indptr[u])
+            self.indices[start:start + count] = self.indices[old:old + count]
+            self.indptr[u], self.room[u] = start, room
+        self.indices[self.indptr[u] + count] = v
+        self.counts[u] = count + 1
+
+    def edge_positions(self) -> np.ndarray:
+        """Pool position of every edge, rows in order (int64)."""
+        counts = self.counts[: self.n].astype(np.int64)
+        offsets = np.cumsum(counts) - counts
+        return (np.arange(int(counts.sum()), dtype=np.int64)
+                + np.repeat(self.indptr[: self.n] - offsets, counts))
 
 
 class DeltaTier:
@@ -67,9 +161,13 @@ class DeltaTier:
         self.max_m = max(1, int(max_m))
         self.ef_construction = max(1, int(ef_construction))
         self._vectors = np.empty((_INITIAL_CAPACITY, dim), dtype=np.float32)
+        self._norms = np.zeros(_INITIAL_CAPACITY, dtype=np.float64)
+        self._deleted = np.zeros(_INITIAL_CAPACITY, dtype=bool)
+        self._num_deleted = 0
         self._count = 0
-        self._adj: list[list[int]] = []
-        self._deleted: list[bool] = []
+        self._graph = _Adjacency(_INITIAL_CAPACITY, 2 * self.max_m)
+        self._ctx: SearchContext | None = None
+        self._lock = threading.Lock()
         #: NDC spent inside insert-time greedy searches (churn telemetry)
         self.insert_ndc = 0
         #: wall-clock of the first insert since the last consolidation,
@@ -93,22 +191,30 @@ class DeltaTier:
 
     @property
     def num_deleted(self) -> int:
-        return sum(self._deleted)
+        return self._num_deleted
 
     def size_bytes(self) -> int:
-        edges = sum(len(nbrs) for nbrs in self._adj)
-        return int(self._vectors[: self._count].nbytes + 8 * edges
-                   + len(self._deleted))
+        edges = int(self._graph.counts[: self._count].sum())
+        return int(self._vectors[: self._count].nbytes + 4 * edges
+                   + self._count)
 
     def _ensure_capacity(self, needed: int) -> None:
+        """Grow every per-row block to hold ``needed`` rows; the walk's
+        context is rebuilt on its next use, against the new block."""
         cap = len(self._vectors)
         if needed <= cap:
             return
         while cap < needed:
             cap *= 2
+        count = self._count
         grown = np.empty((cap, self.dim), dtype=np.float32)
-        grown[: self._count] = self._vectors[: self._count]
-        self._vectors = grown
+        grown[:count] = self._vectors[:count]
+        norms = np.zeros(cap, dtype=np.float64)
+        norms[:count] = self._norms[:count]
+        deleted = np.zeros(cap, dtype=bool)
+        deleted[:count] = self._deleted[:count]
+        self._graph.grow_rows(cap)
+        self._vectors, self._norms, self._deleted = grown, norms, deleted
 
     # -- mutation --------------------------------------------------------
 
@@ -118,126 +224,56 @@ class DeltaTier:
         The caller (``GraphANNS.insert``) validates the vector first;
         this method assumes a finite, contiguous ``(dim,)`` float32 row.
         """
-        if self.first_insert_at is None:
-            self.first_insert_at = time.monotonic()
-        local = self._count
-        self._ensure_capacity(local + 1)
-        self._vectors[local] = vector
-        self._adj.append([])
-        self._deleted.append(False)
-        self._count = local + 1
-        if local > 0:
-            counter = DistanceCounter()
-            result = self._walk(
-                np.ascontiguousarray(vector, dtype=np.float64),
-                ef=max(self.ef_construction, self.max_m),
-                counter=counter, budget=None, exclude=local,
-            )
-            self.insert_ndc += counter.count
-            for neighbor in result[0][: self.max_m]:
-                self._add_undirected_edge(local, int(neighbor))
+        with self._lock:
+            if self.first_insert_at is None:
+                self.first_insert_at = time.monotonic()
+            local = self._count
+            self._ensure_capacity(local + 1)
+            self._vectors[local] = vector
+            self._norms[local] = _sq_norms(self._vectors[local:local + 1])[0]
+            neighbors = _ENTRY[:0]
+            if local > 0:
+                # the walk sees the graph before this row exists, so the
+                # new point can neither find itself nor a duplicate edge
+                counter = DistanceCounter()
+                result = self._walk_from_entry(
+                    vector, max(self.ef_construction, self.max_m), counter,
+                )
+                self.insert_ndc += counter.count
+                neighbors = result.ids[: self.max_m]
+            self._graph.add_row(neighbors)
+            for neighbor in neighbors.tolist():
+                self._graph.append(neighbor, local)
+            self._count = local + 1
         return self.base_n + local
-
-    def _add_undirected_edge(self, u: int, v: int) -> None:
-        if u == v:
-            return
-        if v not in self._adj[u]:
-            self._adj[u].append(v)
-        if u not in self._adj[v]:
-            self._adj[v].append(u)
 
     def delete(self, external_id: int) -> None:
         """Tombstone one delta point (addressed by its external id)."""
         local = external_id - self.base_n
-        if not 0 <= local < self._count:
-            raise IndexError(f"vertex {external_id} is not a delta point")
-        self._deleted[local] = True
+        with self._lock:
+            if not 0 <= local < self._count:
+                raise IndexError(f"vertex {external_id} is not a delta point")
+            if not self._deleted[local]:
+                self._deleted[local] = True
+                self._num_deleted += 1
 
     def contains(self, external_id: int) -> bool:
         return self.base_n <= external_id < self.base_n + self._count
 
     # -- search ----------------------------------------------------------
 
-    def _walk(
-        self,
-        query64: np.ndarray,
-        ef: int,
-        counter: DistanceCounter,
-        budget: QueryBudget | None,
-        exclude: int | None = None,
-    ):
-        """ef-bounded best-first walk over the delta adjacency.
-
-        Returns ``(local_ids, sq_dists, hops, visited, tracker)`` with
-        ids in ascending ``(squared distance, id)`` order.  ``exclude``
-        hides one vertex (the point being inserted) from the walk.
-        Tombstoned vertices route but are *not* filtered here — result
-        filtering happens in :meth:`search`, exactly like the base
-        tier's tombstone handling.
-        """
-        n = self._count
-        tracker = (
-            None if budget is None or budget.unlimited
-            else BudgetTracker(budget, counter)
+    def _walk_from_entry(self, query, ef, counter, budget=None) -> SearchResult:
+        """Best-first walk of the delta graph from vertex 0 on the tier's
+        own context (hold the lock).  Ids are local, ascending by
+        ``(squared distance, id)``; tombstones are not filtered."""
+        ctx = self._ctx
+        if ctx is None or not ctx.compatible(self._vectors):
+            ctx = self._ctx = SearchContext(self._vectors,
+                                            norms_sq=self._norms)
+        return best_first_search(
+            self._graph, self._vectors, query, _ENTRY, ef, counter,
+            ctx=ctx, budget=budget,
         )
-        # entry is always local vertex 0: the delta graph is connected
-        # by construction (every insert links to an earlier vertex), so
-        # vertex 0 reaches everything and the walk is deterministic
-        visited = np.zeros(n, dtype=bool)
-        if exclude is not None:
-            visited[exclude] = True
-        rows = self._vectors[:n].astype(np.float64, copy=False)
-
-        def score(ids: np.ndarray) -> np.ndarray:
-            diff = rows[ids] - query64
-            counter.count += len(ids)
-            return np.einsum("ij,ij->i", diff, diff)
-
-        entry = np.asarray([0], dtype=np.int64)
-        entry = entry[~visited[entry]]
-        if tracker is not None:
-            entry = tracker.clip(entry)
-        candidates: list[tuple[float, int]] = []   # min-heap on sq dist
-        results: list[tuple[float, int]] = []      # max-heap (negated)
-        visited_count = 0
-        if len(entry):
-            visited[entry] = True
-            visited_count += len(entry)
-            for vertex, sq in zip(entry.tolist(), score(entry).tolist()):
-                heapq.heappush(candidates, (sq, vertex))
-                heapq.heappush(results, (-sq, vertex))
-        hops = 0
-        while candidates:
-            if tracker is not None and tracker.stop_before_hop(hops):
-                break
-            sq, u = heapq.heappop(candidates)
-            worst = -results[0][0] if len(results) >= ef else np.inf
-            if sq > worst:
-                break
-            hops += 1
-            nbrs = np.asarray(self._adj[u], dtype=np.int64)
-            if len(nbrs):
-                nbrs = nbrs[~visited[nbrs]]
-            if tracker is not None:
-                nbrs = tracker.clip(nbrs)
-            if len(nbrs) == 0:
-                continue
-            visited[nbrs] = True
-            visited_count += len(nbrs)
-            worst = -results[0][0] if len(results) >= ef else np.inf
-            for vertex, value in zip(nbrs.tolist(), score(nbrs).tolist()):
-                if len(results) < ef:
-                    heapq.heappush(results, (-value, vertex))
-                    heapq.heappush(candidates, (value, vertex))
-                    worst = -results[0][0] if len(results) >= ef else np.inf
-                elif value < worst:
-                    heapq.heapreplace(results, (-value, vertex))
-                    heapq.heappush(candidates, (value, vertex))
-                    worst = -results[0][0]
-        ordered = sorted((-negsq, vertex) for negsq, vertex in results)
-        ids = np.asarray([vertex for _, vertex in ordered], dtype=np.int64)
-        sqs = np.asarray([sq for sq, _ in ordered], dtype=np.float64)
-        return ids, sqs, hops, visited_count, tracker
 
     def search(
         self,
@@ -254,78 +290,70 @@ class DeltaTier:
         tier's.  Tombstoned points are filtered from the result but
         still routed through, matching the base search semantics.
         """
-        if self._count == 0:
-            return SearchResult(ids=np.empty(0, dtype=np.int64),
-                                dists=np.empty(0))
-        start = counter.count
-        ids, sqs, hops, visited_count, tracker = self._walk(
-            query64, ef=max(ef, k), counter=counter, budget=budget,
-        )
-        if self.num_deleted and len(ids):
-            keep = ~np.asarray(self._deleted, dtype=bool)[ids]
-            ids, sqs = ids[keep], sqs[keep]
-        ids, sqs = ids[:k], sqs[:k]
-        degraded = tracker is not None and tracker.fired is not None
-        return SearchResult(
-            ids=self.base_n + ids,
-            dists=np.sqrt(sqs),
-            ndc=counter.count - start,
-            hops=hops,
-            visited=visited_count,
-            degraded=degraded,
-            budget=tracker.report(hops) if degraded else None,
-        )
+        with self._lock:
+            if self._count == 0:
+                return SearchResult(ids=np.empty(0, dtype=np.int64),
+                                    dists=np.empty(0))
+            result = self._walk_from_entry(query64, max(ef, k), counter,
+                                           budget)
+            ids, dists = result.ids, result.dists
+            if self._num_deleted and len(ids):
+                keep = ~self._deleted[ids]
+                ids, dists = ids[keep], dists[keep]
+        result.ids = self.base_n + ids[:k]
+        result.dists = dists[:k]
+        return result
 
     # -- consolidation support -------------------------------------------
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray, int]:
         """A consistent copy of ``(vectors, deleted, count)`` for the
         consolidation worker to rebuild from while inserts continue."""
-        count = self._count
-        return (
-            self._vectors[:count].copy(),
-            np.asarray(self._deleted[:count], dtype=bool),
-            count,
-        )
+        with self._lock:
+            count = self._count
+            return (
+                self._vectors[:count].copy(),
+                self._deleted[:count].copy(),
+                count,
+            )
 
     def deleted_flags(self, count: int) -> np.ndarray:
         """Tombstone flags for the first ``count`` delta points."""
-        return np.asarray(self._deleted[:count], dtype=bool)
+        with self._lock:
+            return self._deleted[: min(count, self._count)].copy()
 
     def tail_after(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Vectors (and tombstones) inserted after position ``count`` —
         the inserts that raced a consolidation and must be re-inserted
         into the fresh delta, in order, to keep their external ids."""
-        return (
-            self._vectors[count: self._count].copy(),
-            np.asarray(self._deleted[count: self._count], dtype=bool),
-        )
+        with self._lock:
+            return (
+                self._vectors[count: self._count].copy(),
+                self._deleted[count: self._count].copy(),
+            )
 
     # -- persistence (index format v5) -----------------------------------
 
     def export_state(self):
-        """``(vectors, indptr, neighbors, deleted, meta)`` for v5 files."""
-        counts = [len(self._adj[i]) for i in range(self._count)]
-        indptr = np.zeros(self._count + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        neighbors = (
-            np.concatenate([
-                np.asarray(self._adj[i], dtype=np.int64)
-                for i in range(self._count)
-            ]) if indptr[-1] else np.empty(0, dtype=np.int64)
-        ).astype(np.int32)
-        meta = {
-            "base_n": self.base_n,
-            "max_m": self.max_m,
-            "ef_construction": self.ef_construction,
-        }
-        return (
-            self._vectors[: self._count].copy(),
-            indptr,
-            neighbors,
-            np.asarray(self._deleted, dtype=bool),
-            meta,
-        )
+        """``(vectors, indptr, neighbors, deleted, meta)`` for v5 files:
+        the adjacency compacted to CSR, rows in vertex order."""
+        with self._lock:
+            n, graph = self._count, self._graph
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(graph.counts[:n], out=indptr[1:])
+            neighbors = graph.indices[graph.edge_positions()]
+            meta = {
+                "base_n": self.base_n,
+                "max_m": self.max_m,
+                "ef_construction": self.ef_construction,
+            }
+            return (
+                self._vectors[:n].copy(),
+                indptr,
+                neighbors,
+                self._deleted[:n].copy(),
+                meta,
+            )
 
     @classmethod
     def from_state(cls, vectors, indptr, neighbors, deleted, meta) -> "DeltaTier":
@@ -343,14 +371,20 @@ class DeltaTier:
         tier.dim = dim
         tier._ensure_capacity(n)
         tier._vectors[:n] = vectors
+        tier._norms[:n] = _sq_norms(vectors)
         tier._count = n
-        tier._adj = [
-            neighbors[int(indptr[i]): int(indptr[i + 1])].tolist()
-            for i in range(n)
-        ]
-        tier._deleted = list(np.asarray(deleted, dtype=bool)[:n])
-        while len(tier._deleted) < n:
-            tier._deleted.append(False)
+        # rows arrive packed (no spare room): the first insert that
+        # touches one moves it to the end of the pool with room to grow
+        graph = tier._graph
+        graph.indices = neighbors.astype(np.int32)
+        graph.used = len(neighbors)
+        graph.indptr[:n] = indptr[:n]
+        graph.counts[:n] = np.diff(indptr)
+        graph.room[:n] = graph.counts[:n]
+        graph.n = n
+        flags = np.asarray(deleted, dtype=bool)[:n]
+        tier._deleted[: len(flags)] = flags
+        tier._num_deleted = int(flags.sum())
         return tier
 
     # -- integrity -------------------------------------------------------
@@ -359,7 +393,7 @@ class DeltaTier:
         """Structural problems :func:`repro.resilience.verify_index`
         reports (and repairs by dropping the delta)."""
         issues: list[str] = []
-        n = self._count
+        n, graph = self._count, self._graph
         if self.dim != dim:
             issues.append(
                 f"delta is {self.dim}-d but the base data is {dim}-d"
@@ -369,24 +403,40 @@ class DeltaTier:
                 f"delta id range starts at {self.base_n} but the base "
                 f"holds {base_n} points"
             )
-        if len(self._adj) != n or len(self._deleted) != n:
+        if (graph.n != n or len(graph.counts) < n
+                or len(self._deleted) < n or len(self._norms) < n):
             issues.append(
                 f"delta bookkeeping out of sync: {n} vectors, "
-                f"{len(self._adj)} adjacency lists, "
-                f"{len(self._deleted)} tombstone slots"
+                f"{graph.n} adjacency rows, {len(self._deleted)} "
+                f"tombstone slots"
             )
             return issues
         if n and not np.isfinite(self._vectors[:n]).all():
             bad = int((~np.isfinite(self._vectors[:n]).all(axis=1)).sum())
             issues.append(f"{bad} delta vectors contain NaN/Inf")
-        for u in range(n):
-            for v in self._adj[u]:
-                if not 0 <= v < n:
-                    issues.append(
-                        f"delta edge {u}->{v} points outside [0, {n})"
-                    )
-                    return issues
-                if v == u:
-                    issues.append(f"delta self-loop at vertex {u}")
-                    return issues
+        starts = graph.indptr[:n].astype(np.int64)
+        counts = graph.counts[:n].astype(np.int64)
+        pool = min(graph.used, len(graph.indices))
+        outside = np.flatnonzero(
+            (starts < 0) | (counts < 0) | (starts + counts > pool)
+        )
+        if len(outside):
+            u = int(outside[0])
+            issues.append(
+                f"delta row {u} spans [{starts[u]}, {starts[u] + counts[u]}) "
+                f"outside its pool of {pool} slots"
+            )
+            return issues
+        edges = graph.indices[graph.edge_positions()]
+        sources = np.repeat(np.arange(n), counts)
+        bad = np.flatnonzero((edges < 0) | (edges >= n))
+        if len(bad):
+            i = int(bad[0])
+            issues.append(
+                f"delta edge {sources[i]}->{edges[i]} points outside [0, {n})"
+            )
+            return issues
+        loops = np.flatnonzero(edges == sources)
+        if len(loops):
+            issues.append(f"delta self-loop at vertex {sources[loops[0]]}")
         return issues

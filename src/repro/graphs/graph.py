@@ -33,6 +33,10 @@ _EDGE_BYTES = 4  # int32 neighbor id, matching the paper's C++ layouts
 class Graph:
     """A directed proximity graph over ``n`` vertices."""
 
+    #: per-row live lengths for the native walk; None means CSR, where
+    #: row ``u`` ends at ``indptr[u + 1]``
+    counts = None
+
     def __init__(self, n: int, neighbor_lists: Sequence[Iterable[int]] | None = None):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")

@@ -424,9 +424,218 @@ class TestUpdatePersistence:
         index.auto_consolidate = False
         index.insert(world.base[4] + 0.01)
         index.insert(world.base[5] + 0.01)
-        index._delta._adj[0] = [999]  # edge outside the delta
+        graph = index._delta._graph
+        graph.indices[graph.indptr[0]] = 999  # edge outside the delta
         report = verify_index(index, repair=True, strict=False)
         assert index._delta is None
         assert any("delta tier dropped" in r for r in report.repairs)
         # base search is unaffected
         assert len(index.search(world.queries[0], k=10, ef=60).ids) == 10
+
+
+def _grown_delta_index(world, inserts=70, seed=11):
+    """NSG with a delta that outgrew its vector block three times
+    (16 -> 128 rows) and moved its hub rows in the edge pool."""
+    index = create("nsg", seed=2)
+    index.build(world.base)
+    index.auto_consolidate = False
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(world.n, inserts)
+    noise = rng.normal(0, 0.3, (inserts, world.dim)).astype(np.float32)
+    for vector in world.base[rows] + noise:
+        index.insert(vector)
+    return index
+
+
+def _assert_same_answers(batch, results):
+    for i, result in enumerate(results):
+        keep = batch.ids[i] >= 0
+        assert np.array_equal(batch.ids[i][keep], result.ids)
+        assert np.array_equal(batch.dists[i][keep], result.dists)
+        assert batch.ndc[i] == result.ndc
+        assert batch.hops[i] == result.hops
+        assert bool(batch.degraded[i]) == result.degraded
+
+
+class TestDeltaOnKernel:
+    """The delta walks through the shared best-first routine: the C
+    kernel natively, the NumPy frontier without it."""
+
+    def test_grown_delta_search_matches_batch(self, world):
+        index = _grown_delta_index(world)
+        delta = index._delta
+        graph = delta._graph
+        assert len(delta._vectors) == 128 and delta.n == 70
+        # some rows filled up and moved to the end of the pool
+        assert (graph.room[: delta.n] > graph.row_room).any()
+        assert graph.used > int(graph.room[: delta.n].sum())
+        for tombstones in ((), (5, world.n + 3, world.n + 40)):
+            for vertex in tombstones:
+                index.delete(vertex)
+            results = [index.search(q, k=10, ef=60) for q in world.queries]
+            assert any((r.ids >= world.n).any() for r in results)
+            assert not any(np.isin(r.ids, tombstones).any() for r in results)
+            batch = index.search_batch(world.queries, k=10, ef=60, workers=2)
+            _assert_same_answers(batch, results)
+
+    @pytest.mark.parametrize("limit", ["ndc", "hops", "deadline"])
+    def test_budgets_degrade_across_both_tiers(self, world, limit):
+        index = _grown_delta_index(world)
+        query = world.queries[0]
+        delta = index._delta
+        index._delta = None
+        base_only = index.search(query, k=10, ef=60)
+        index._delta = delta
+        full = index.search(query, k=10, ef=60)
+        assert full.ndc > base_only.ndc and not full.degraded
+        budget = {
+            # the base walk fits, the delta walk is cut by the remainder
+            "ndc": QueryBudget(max_ndc=base_only.ndc + 7),
+            "hops": QueryBudget(max_hops=2),
+            # expired before either walk makes its first hop
+            "deadline": QueryBudget(deadline_s=1e-9),
+        }[limit]
+        results = [index.search(q, k=10, ef=60, budget=budget)
+                   for q in world.queries]
+        for result in results:
+            assert result.degraded and result.budget.limit == limit
+            assert len(result.ids)
+        first = results[0]
+        if limit == "ndc":
+            assert first.ndc == base_only.ndc + 7
+        elif limit == "hops":
+            assert first.hops == 4      # two per tier
+        batch = index.search_batch(world.queries, k=10, ef=60, workers=2,
+                                   budget=budget)
+        assert batch.num_errors == 0
+        _assert_same_answers(batch, results)
+
+    def test_v5_roundtrip_answers_bit_for_bit(self, world, tmp_path):
+        from repro.io import load_index, save_index
+
+        index = _grown_delta_index(world)
+        index.delete(world.n + 9)
+        path = tmp_path / "index.npz"
+        save_index(index, path)
+        loaded = load_index(path)
+        for left, right in zip(index._delta.export_state()[:4],
+                               loaded._delta.export_state()[:4]):
+            assert np.array_equal(left, right)
+        extra = world.base[11] + 0.05
+        for live in (index, loaded):
+            live.insert(extra)   # moves packed rows of the loaded pool
+        for query in list(world.queries) + [extra]:
+            a = index.search(query, k=10, ef=60)
+            b = loaded.search(query, k=10, ef=60)
+            assert np.array_equal(a.ids, b.ids)
+            assert np.array_equal(a.dists, b.dists)
+            assert (a.ndc, a.hops, a.visited) == (b.ndc, b.hops, b.visited)
+
+    def test_tombstone_bookkeeping(self, world):
+        index = _grown_delta_index(world, inserts=20)
+        delta = index._delta
+        for vertex in (world.n + 2, world.n + 7, world.n + 2, 4):
+            index.delete(vertex)
+        assert delta.num_deleted == 2 and index.num_deleted == 3
+        expected = np.zeros(20, dtype=bool)
+        expected[[2, 7]] = True
+        vectors, flags, count = delta.snapshot()
+        assert count == 20 and np.array_equal(flags, expected)
+        assert np.array_equal(vectors, delta.vectors)
+        assert np.array_equal(delta.deleted_flags(8), expected[:8])
+        tail_vecs, tail_flags = delta.tail_after(5)
+        assert np.array_equal(tail_vecs, delta.vectors[5:])
+        assert np.array_equal(tail_flags, expected[5:])
+        assert np.array_equal(delta.export_state()[3], expected)
+        restored = type(delta).from_state(*delta.export_state())
+        assert restored.num_deleted == 2
+        assert np.array_equal(restored.deleted_flags(20), expected)
+        edges = int(delta.export_state()[1][-1])
+        assert delta.size_bytes() == 20 * world.dim * 4 + 4 * edges + 20
+
+    def test_concurrent_writes_and_searches(self, world):
+        """One writer inserts and deletes while search() and
+        search_batch() run against the same index."""
+        import sys
+        import threading
+
+        from repro.delta import DeltaTier
+
+        index = _grown_delta_index(world, inserts=10)
+        rng = np.random.default_rng(23)
+        vectors = (world.base[rng.choice(world.n, 150)]
+                   + rng.normal(0, 0.3, (150, world.dim)).astype(np.float32))
+        # every fifth insert is followed by a delete: mostly of a delta
+        # point that already exists, every third one of a base point
+        victims = [k + 1 if k % 3 == 2 else world.n + 5 * k
+                   for k in range(30)]
+        deleted: list[int] = []     # appended once a delete has returned
+        done = threading.Event()
+        errors: list[BaseException] = []
+
+        def writer():
+            try:
+                for j, vector in enumerate(vectors):
+                    index.insert(vector)
+                    if j % 5 == 0:
+                        victim = victims[j // 5]
+                        index.delete(victim)
+                        deleted.append(victim)
+            except BaseException as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def check(ids, before):
+            ids = ids[ids >= 0]
+            assert (ids < world.n + index.delta_points).all()
+            assert not np.isin(ids, before).any()
+
+        def searcher():
+            try:
+                i = 0
+                while not done.is_set() or i < 3:
+                    before = list(deleted)
+                    query = world.queries[i % len(world.queries)]
+                    check(index.search(query, k=10, ef=60).ids, before)
+                    i += 1
+            except BaseException as exc:
+                errors.append(exc)
+
+        def batcher():
+            try:
+                i = 0
+                while not done.is_set() or i < 3:
+                    before = list(deleted)
+                    batch = index.search_batch(world.queries, k=10, ef=60)
+                    assert batch.num_errors == 0
+                    check(batch.ids, before)
+                    i += 1
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=fn)
+                       for fn in (writer, searcher, batcher)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert not any(thread.is_alive() for thread in threads)
+
+        replay = DeltaTier(world.dim, world.n, max_m=index.delta_max_m,
+                           ef_construction=index.delta_ef_construction)
+        for vector in index._delta.vectors[:10]:
+            replay.insert(vector)
+        for j, vector in enumerate(vectors):
+            replay.insert(vector)
+            if j % 5 == 0 and victims[j // 5] >= world.n:
+                replay.delete(victims[j // 5])
+        for left, right in zip(index._delta.export_state()[:4],
+                               replay.export_state()[:4]):
+            assert np.array_equal(left, right)
