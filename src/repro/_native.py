@@ -774,10 +774,11 @@ def _walk(ctx, indptr, indices, counts, query64, query_sq, seeds, ef,
 
 def best_first(ctx, graph, query64, query_sq, seeds, ef,
                max_ndc=-1, max_hops=-1, deadline=0.0):
-    """Run the whole best-first search in C against a frozen CSR graph,
-    or a graph-like object whose ``counts`` array gives each row's live
-    length (its ``csr()`` indptr then holds row starts, as in
-    :func:`best_first_build`).
+    """Run the whole best-first search in C against a frozen CSR graph.
+
+    ``graph`` may also be graph-like with a ``counts`` array giving each
+    row's live length; its ``csr()`` indptr then holds row starts, as in
+    :func:`best_first_build` (the delta tier's layout).
 
     ``ctx`` is a :class:`repro.components.context.SearchContext` whose
     scratch buffers (epoch array, heaps) this call borrows; with

@@ -138,6 +138,17 @@ class _Adjacency:
         self.indices[self.indptr[u] + count] = v
         self.counts[u] = count + 1
 
+    def load_packed(self, indptr: np.ndarray, neighbors: np.ndarray) -> None:
+        """Adopt a CSR adjacency whose rows have no spare room: the
+        first edge added to a row moves it to the end of the pool."""
+        n = len(indptr) - 1
+        self.indices = neighbors.astype(np.int32)
+        self.used = len(neighbors)
+        self.indptr[:n] = indptr[:n]
+        self.counts[:n] = np.diff(indptr)
+        self.room[:n] = self.counts[:n]
+        self.n = n
+
     def edge_positions(self) -> np.ndarray:
         """Pool position of every edge, rows in order (int64)."""
         counts = self.counts[: self.n].astype(np.int64)
@@ -231,7 +242,7 @@ class DeltaTier:
             self._ensure_capacity(local + 1)
             self._vectors[local] = vector
             self._norms[local] = _sq_norms(self._vectors[local:local + 1])[0]
-            neighbors = _ENTRY[:0]
+            neighbors = np.empty(0, dtype=np.int64)
             if local > 0:
                 # the walk sees the graph before this row exists, so the
                 # new point can neither find itself nor a duplicate edge
@@ -335,8 +346,10 @@ class DeltaTier:
     # -- persistence (index format v5) -----------------------------------
 
     def export_state(self):
-        """``(vectors, indptr, neighbors, deleted, meta)`` for v5 files:
-        the adjacency compacted to CSR, rows in vertex order."""
+        """``(vectors, indptr, neighbors, deleted, meta)`` for v5 files.
+
+        The adjacency is compacted to CSR, rows in vertex order.
+        """
         with self._lock:
             n, graph = self._count, self._graph
             indptr = np.zeros(n + 1, dtype=np.int64)
@@ -373,15 +386,7 @@ class DeltaTier:
         tier._vectors[:n] = vectors
         tier._norms[:n] = _sq_norms(vectors)
         tier._count = n
-        # rows arrive packed (no spare room): the first insert that
-        # touches one moves it to the end of the pool with room to grow
-        graph = tier._graph
-        graph.indices = neighbors.astype(np.int32)
-        graph.used = len(neighbors)
-        graph.indptr[:n] = indptr[:n]
-        graph.counts[:n] = np.diff(indptr)
-        graph.room[:n] = graph.counts[:n]
-        graph.n = n
+        tier._graph.load_packed(indptr, neighbors)
         flags = np.asarray(deleted, dtype=bool)[:n]
         tier._deleted[: len(flags)] = flags
         tier._num_deleted = int(flags.sum())

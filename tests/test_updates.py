@@ -553,6 +553,19 @@ class TestDeltaOnKernel:
         edges = int(delta.export_state()[1][-1])
         assert delta.size_bytes() == 20 * world.dim * 4 + 4 * edges + 20
 
+    def test_consistency_issues_on_the_pool(self, world):
+        index = _grown_delta_index(world, inserts=20)
+        graph = index._delta._graph
+        assert index._delta.consistency_issues(world.dim, world.n) == []
+        first = int(graph.indptr[3])
+        kept, graph.indices[first] = graph.indices[first], 3
+        assert index._delta.consistency_issues(world.dim, world.n) == [
+            "delta self-loop at vertex 3"]
+        graph.indices[first] = kept
+        graph.indptr[5] = graph.used - 1
+        issues = index._delta.consistency_issues(world.dim, world.n)
+        assert len(issues) == 1 and "delta row 5 spans" in issues[0]
+
     def test_concurrent_writes_and_searches(self, world):
         """One writer inserts and deletes while search() and
         search_batch() run against the same index."""
