@@ -118,31 +118,30 @@ def churn(index) -> None:
         index.delete(vertex)
 
 
-def digest(ids, dists, ndc, hops) -> dict[str, str]:
-    arrays = {
-        "ids": np.asarray(ids, dtype=np.int64),
-        "dists": np.asarray(dists, dtype=np.float64),
-        "ndc": np.asarray(ndc, dtype=np.int64),
-        "hops": np.asarray(hops, dtype=np.int64),
-    }
+def sha256s(arrays: dict[str, np.ndarray]) -> dict[str, str]:
     return {
         key: hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
         for key, arr in arrays.items()
     }
+
+
+def digest(ids, dists, ndc, hops) -> dict[str, str]:
+    return sha256s({
+        "ids": np.asarray(ids, dtype=np.int64),
+        "dists": np.asarray(dists, dtype=np.float64),
+        "ndc": np.asarray(ndc, dtype=np.int64),
+        "hops": np.asarray(hops, dtype=np.int64),
+    })
 
 
 def delta_digest(index) -> dict[str, str]:
     """Hashes of the delta side-graph the pinned inserts built."""
     _, indptr, neighbors, deleted, _ = index._delta.export_state()
-    arrays = {
+    return sha256s({
         "indptr": np.asarray(indptr, dtype=np.int64),
         "neighbors": np.asarray(neighbors, dtype=np.int32),
         "deleted": np.asarray(deleted, dtype=bool),
-    }
-    return {
-        key: hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
-        for key, arr in arrays.items()
-    }
+    })
 
 
 def loop_digest(search, queries) -> dict[str, str]:

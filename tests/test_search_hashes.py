@@ -11,8 +11,8 @@ per-query and under HNSW's descent; a delta tier with tombstones, plain
 and NDC-budgeted; NDC-budgeted SPTAG-KDT)
 return (``scripts/gen_search_hashes.py`` regenerates it).  The plain
 delta variants also pin the side-graph their inserts built (the
-indptr, neighbors and tombstones of ``DeltaTier.export_state()``).  Matching it
-proves a routing, finishing or scatter–gather refactor changed no bit
+indptr, neighbors and tombstones of ``DeltaTier.export_state()``).
+Matching it proves a routing, finishing or scatter–gather refactor changed no bit
 of any output, on the serial kernel, the fused batch kernel or the
 Python frontier.
 """

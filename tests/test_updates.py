@@ -6,11 +6,15 @@ in the mutable NSW-style side-graph searched alongside the frozen base
 and folded in by ``consolidate()``.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro import create
 from repro.datasets import brute_force_knn, make_clustered
+from repro.delta import DeltaTier
 from repro.resilience import InvalidQueryError, QueryBudget
 
 
@@ -434,8 +438,9 @@ class TestUpdatePersistence:
 
 
 def _grown_delta_index(world, inserts=70, seed=11):
-    """NSG with a delta that outgrew its vector block three times
-    (16 -> 128 rows) and moved its hub rows in the edge pool."""
+    """NSG with ``inserts`` delta points; the default 70 grows the
+    vector block three times (16 -> 128 rows) and moves hub rows to
+    the end of the edge pool."""
     index = create("nsg", seed=2)
     index.build(world.base)
     index.auto_consolidate = False
@@ -547,7 +552,7 @@ class TestDeltaOnKernel:
         assert np.array_equal(tail_vecs, delta.vectors[5:])
         assert np.array_equal(tail_flags, expected[5:])
         assert np.array_equal(delta.export_state()[3], expected)
-        restored = type(delta).from_state(*delta.export_state())
+        restored = DeltaTier.from_state(*delta.export_state())
         assert restored.num_deleted == 2
         assert np.array_equal(restored.deleted_flags(20), expected)
         edges = int(delta.export_state()[1][-1])
@@ -569,11 +574,6 @@ class TestDeltaOnKernel:
     def test_concurrent_writes_and_searches(self, world):
         """One writer inserts and deletes while search() and
         search_batch() run against the same index."""
-        import sys
-        import threading
-
-        from repro.delta import DeltaTier
-
         index = _grown_delta_index(world, inserts=10)
         rng = np.random.default_rng(23)
         vectors = (world.base[rng.choice(world.n, 150)]
@@ -584,7 +584,7 @@ class TestDeltaOnKernel:
                    for k in range(30)]
         deleted: list[int] = []     # appended once a delete has returned
         done = threading.Event()
-        errors: list[BaseException] = []
+        errors: list[Exception] = []
 
         def writer():
             try:
@@ -594,7 +594,7 @@ class TestDeltaOnKernel:
                         victim = victims[j // 5]
                         index.delete(victim)
                         deleted.append(victim)
-            except BaseException as exc:  # pragma: no cover - reported below
+            except Exception as exc:
                 errors.append(exc)
             finally:
                 done.set()
@@ -612,7 +612,7 @@ class TestDeltaOnKernel:
                     query = world.queries[i % len(world.queries)]
                     check(index.search(query, k=10, ef=60).ids, before)
                     i += 1
-            except BaseException as exc:
+            except Exception as exc:
                 errors.append(exc)
 
         def batcher():
@@ -624,7 +624,7 @@ class TestDeltaOnKernel:
                     assert batch.num_errors == 0
                     check(batch.ids, before)
                     i += 1
-            except BaseException as exc:
+            except Exception as exc:
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
