@@ -14,6 +14,11 @@ sha256 digests (ids, dists, per-query NDC, per-query hops) to
 ``tests/data/search_hashes.json``.  The plain delta variants also pin
 the side-graph the inserts built (``"delta"``: the digests of
 ``DeltaTier.export_state()``'s indptr, neighbors and tombstones).
+Three wrappers that walk a built index their own way — ML1's
+embedding-guided routing over NSG, ML2's learned stop hop over HNSW
+(fitted on a held-out query set) and the attribute filter over HNSW
+(a ~50 % predicate and a selective one that hits the hop cap) — have
+no batch form and pin their ``search()`` loop only.
 Run once per mode::
 
     PYTHONPATH=src python scripts/gen_search_hashes.py
@@ -41,6 +46,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import _native  # noqa: E402
 from repro.algorithms.registry import ALGORITHMS, create  # noqa: E402
+from repro.extensions import AttributeFilteredIndex  # noqa: E402
+from repro.ml import ML1LearnedRouting, ML2EarlyTermination  # noqa: E402
 from repro.pipeline.framework import C7_CHOICES, BenchmarkAlgorithm  # noqa: E402
 from repro.resilience import QueryBudget  # noqa: E402
 from repro.sharding import ShardedIndex  # noqa: E402
@@ -81,9 +88,20 @@ DELTA_TOMBSTONE = 5   # the sixth inserted point
 #: variants whose delta side-graph is pinned as well as their answers
 DELTA_GRAPHS = ("nsg-delta", "hcnng-delta", "ieh-delta")
 
+#: wrapper configs (search() loop only): ML1 over NSG, ML2 over HNSW
+#: fitted on ML2_TRAIN held-out queries, the attribute filter over HNSW
+#: with one record per vertex and the FILTERS predicates
+WRAPPERS = ("ml1", "ml2", "filtered")
+ML2_TRAIN, ML2_TRAIN_SEED = 20, 10
+ATTRIBUTE_SEED = 11
+FILTERS = (
+    lambda record: record < 50,   # about half the vertices
+    lambda record: record < 2,    # selective: the walk hits its hop cap
+)
+
 CONFIGS = (
     sorted(ALGORITHMS) + ["kdr-rs"] + [f"framework-{c7}" for c7 in C7_CHOICES]
-    + sorted(SHARDED) + sorted(VARIANTS)
+    + sorted(SHARDED) + sorted(VARIANTS) + list(WRAPPERS)
 )
 
 
@@ -178,6 +196,30 @@ def sharded_outputs(config: str) -> dict[str, dict[str, str]]:
     }
 
 
+def wrapper_outputs(config: str) -> dict[str, dict[str, str]]:
+    """Hashes of one wrapper's ``search()`` loop over the pinned queries
+    (the filter runs the loop once per predicate, in order)."""
+    data, queries = pinned_dataset(), pinned_queries()
+    index = create("nsg" if config == "ml1" else "hnsw", seed=0)
+    index.build(data)
+    if config == "ml1":
+        wrapper = ML1LearnedRouting(index, epochs=5, seed=0).fit()
+        return {"search": loop_digest(
+            lambda q: wrapper.search(q, k=K, ef=EF), queries)}
+    if config == "ml2":
+        train = np.random.default_rng(ML2_TRAIN_SEED).standard_normal(
+            (ML2_TRAIN, DATASET_D)).astype(np.float32)
+        wrapper = ML2EarlyTermination(index, seed=0).fit(train, ef=EF, k=K)
+        return {"search": loop_digest(
+            lambda q: wrapper.search(q, k=K, ef=EF), queries)}
+    records = np.random.default_rng(ATTRIBUTE_SEED).integers(
+        0, 100, DATASET_N).tolist()
+    wrapper = AttributeFilteredIndex(index, records)
+    pairs = [(query, keep) for keep in FILTERS for query in queries]
+    return {"search": loop_digest(
+        lambda pair: wrapper.search(pair[0], pair[1], k=K, ef=EF), pairs)}
+
+
 def search_outputs(config: str) -> dict[str, dict[str, str]]:
     """Hashes of one config's ``search()`` loop and ``search_batch()``.
 
@@ -186,6 +228,8 @@ def search_outputs(config: str) -> dict[str, dict[str, str]]:
     """
     if config in SHARDED:
         return sharded_outputs(config)
+    if config in WRAPPERS:
+        return wrapper_outputs(config)
     index = make_config(config)
     index.build(pinned_dataset())
     _, compressed, delta, max_ndc = VARIANTS.get(config, (config, False, False, None))

@@ -12,6 +12,8 @@ and NDC-budgeted; NDC-budgeted SPTAG-KDT)
 return (``scripts/gen_search_hashes.py`` regenerates it).  The plain
 delta variants also pin the side-graph their inserts built (the
 indptr, neighbors and tombstones of ``DeltaTier.export_state()``).
+Three wrappers with no batch form pin their ``search()`` loop only:
+ML1 over NSG, ML2 over HNSW and the attribute filter over HNSW.
 Matching it proves a routing, finishing or scatter–gather refactor changed no bit
 of any output, on the serial kernel, the fused batch kernel or the
 Python frontier.
