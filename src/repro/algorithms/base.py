@@ -18,7 +18,10 @@ import numpy as np
 
 from repro import observability as obs
 from repro.components.context import BuildContext, SearchContext
-from repro.components.routing import PLAIN, Route, SearchResult, best_first_search
+from repro.components.routing import (
+    PLAIN, Route, SearchResult, _attach_budget, _Frontier, _walk,
+    best_first_search,
+)
 from repro.components.seeding import RandomSeeds, SeedProvider
 from repro.compressed import DEFAULT_RERANK_FACTOR, finish_compressed
 from repro.delta import DeltaTier
@@ -931,6 +934,29 @@ class GraphANNS:
             result.ids, result.dists, deleted, k, self._id_map
         )
         return result
+
+    def _hooked_answer(self, query, k, ef, counter, tracker=None, admit=None,
+                       select=None) -> SearchResult:
+        """One query walked along :attr:`route` on the NumPy frontier
+        with a wrapper's hook, finished like :meth:`_answer`.
+
+        The hooks are ML1's neighbor ``select`` (see ``_walk``), the
+        attribute filter's ``admit`` mask (see ``_Frontier``) and ML2's
+        stop-hop ``tracker``.  Seeds come from the provider and are
+        charged to ``result.ndc``; ids are tombstone-free, original-space.
+        """
+        start = counter.count
+        seeds = self.seed_provider.acquire(query, counter)
+        frontier = _Frontier(self._context(), query, ef, tracker=tracker,
+                             admit=admit)
+        frontier.seed(seeds, counter)
+        hops = _walk(frontier, self.graph, self.data, counter, self.route,
+                     select)
+        result = frontier.finish(counter.count - start, hops)
+        result.ids, result.dists = finish_ids(
+            result.ids, result.dists, self._live_tombstones(), k, self._id_map
+        )
+        return _attach_budget(result, tracker)
 
     def _merge_delta(self, result, query, k, ef, counter, budget) -> None:
         """Fold the delta tier's top-k into a finished base result.

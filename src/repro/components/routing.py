@@ -19,6 +19,11 @@ CSR layout, and — for the plain route on a frozen graph — the whole
 loop runs inside the optional C kernel of :mod:`repro._native`.
 Pass ``ctx`` to reuse scratch across queries; omitting it builds a
 transient context with identical semantics.
+
+The §5.5 ML wrappers and the attribute filter change one step of the
+same walk through private hooks on the NumPy frontier: ``_walk``'s
+neighbor selector (ML1), ``_Frontier``'s result-admission mask (the
+filter) and a :class:`~repro.resilience.BudgetTracker` subclass (ML2).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -144,10 +150,15 @@ class _Frontier:
     Definition 4.7 whose size is the paper's "candidate set size (CS)"
     knob.  Both heaps and the visited set live on the context and hold
     *squared* distances; :meth:`finish` converts once.
+
+    ``admit`` (the attribute filter's hook) maps evaluated ids to their
+    result-admission mask: only admitted vertices enter ``results``,
+    while every vertex closer than a full result set's worst still
+    becomes a candidate, so the walk routes through the rest.
     """
 
     __slots__ = ("ef", "ctx", "candidates", "results", "visited", "log",
-                 "tracker", "trace")
+                 "tracker", "trace", "admit")
 
     def __init__(
         self,
@@ -156,8 +167,10 @@ class _Frontier:
         ef: int,
         record_visited: bool = False,
         tracker: BudgetTracker | None = None,
+        admit: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         self.ef = ef
+        self.admit = admit
         self.ctx = ctx
         ctx.begin_query(query)
         self.candidates = ctx.candidates
@@ -188,6 +201,9 @@ class _Frontier:
             if not keep.any():
                 return
             ids, sq = ids[keep], sq[keep]
+        if self.admit is not None:
+            self._offer_admitted(ids, sq)
+            return
         for dist, idx in zip(sq.tolist(), ids.tolist()):
             if len(results) < ef:
                 heapq.heappush(results, (-dist, idx))
@@ -195,6 +211,21 @@ class _Frontier:
             elif dist < -results[0][0]:
                 heapq.heapreplace(results, (-dist, idx))
                 heapq.heappush(candidates, (dist, idx))
+
+    def _offer_admitted(self, ids: np.ndarray, sq: np.ndarray) -> None:
+        """:meth:`_offer_bulk` under the admission mask: candidates keep
+        the plain rule, ``results`` takes admitted vertices only."""
+        results, candidates, ef = self.results, self.candidates, self.ef
+        admitted = self.admit(ids).tolist()
+        for dist, idx, ok in zip(sq.tolist(), ids.tolist(), admitted):
+            if len(results) < ef:
+                heapq.heappush(candidates, (dist, idx))
+                if ok:
+                    heapq.heappush(results, (-dist, idx))
+            elif dist < -results[0][0]:
+                heapq.heappush(candidates, (dist, idx))
+                if ok:
+                    heapq.heapreplace(results, (-dist, idx))
 
     def seed(self, seeds: np.ndarray, counter: DistanceCounter) -> None:
         seeds = np.unique(np.asarray(seeds, dtype=np.int64))
@@ -296,12 +327,15 @@ def _walk(
     data: np.ndarray,
     counter: DistanceCounter,
     route: Route,
+    select: Callable[[SearchContext, np.ndarray], np.ndarray] | None = None,
 ) -> int:
     """The candidate-set loop of Definition 4.7, shaped by ``route``.
 
     Pops the closest unexpanded candidate until it lies beyond the
     route's stop radius (and its backtracks are spent) or a budget
-    fires; returns the hop count.
+    fires; returns the hop count.  ``select`` (ML1's hook) narrows each
+    expansion's neighbors after the guided half-space test, costing no
+    NDC; it must not stamp them visited.
     """
     tracker = frontier.tracker
     hops = 0
@@ -325,6 +359,8 @@ def _walk(
             toward = _toward_query(frontier.ctx, data, u, nbrs)
             if toward.sum() >= MIN_KEEP:
                 nbrs = nbrs[toward]
+        if select is not None:
+            nbrs = select(frontier.ctx, nbrs)
         frontier.expand(u, nbrs, counter)
     return hops
 

@@ -3,20 +3,24 @@
 The survey's Tendencies section points at hybrid vector+attribute
 search (AnalyticDB-V [104], NSW with multi-attribute constraints [106])
 as where graph ANNS is heading.  This extension implements the standard
-*filtered routing* approach on top of any built index in the library:
+*filtered routing* approach on top of any built index in the library,
+as one hook on the shared best-first walk
+(:mod:`repro.components.routing`): a result-admission mask.
 
-* the routing still walks the **unfiltered** graph (filtering edges
-  would disconnect it — the same reason the base algorithms guarantee
-  connectivity), but
+* the routing still walks the **unfiltered** graph along the index's
+  route (filtering edges would disconnect it — the same reason the
+  base algorithms guarantee connectivity), but
 * only vertices whose attributes satisfy the predicate may enter the
   result set, and
-* the candidate set keeps expanding until ``ef`` *matching* results are
-  found or the frontier is exhausted.
+* the walk keeps expanding until ``ef`` *matching* results are held
+  and the frontier lies beyond the worst of them, or a hop cap fires.
+
+Attribute records are read in original-id order and answers finish like
+``GraphANNS.search``: tombstones dropped, original ids.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable
 
 import numpy as np
@@ -24,6 +28,7 @@ import numpy as np
 from repro.algorithms.base import GraphANNS
 from repro.components.routing import SearchResult
 from repro.distance import DistanceCounter
+from repro.resilience import BudgetTracker, QueryBudget
 
 __all__ = ["AttributeFilteredIndex"]
 
@@ -54,59 +59,23 @@ class AttributeFilteredIndex:
         """k nearest neighbors among vertices satisfying ``predicate``.
 
         ``max_hops`` bounds the extra exploration a very selective
-        predicate can cause (default: 4x the unfiltered budget).
+        predicate can cause (default: 4x the unfiltered budget); a walk
+        it cuts returns ``degraded=True`` with ``budget.limit == "hops"``.
         """
         base = self.base
-        graph, data = base.graph, base.data
         ef = max(k, ef if ef is not None else base.default_ef)
         counter = counter if counter is not None else DistanceCounter()
-        start_ndc = counter.count
         if max_hops is None:
             max_hops = 4 * ef
+        attributes, id_map = self.attributes, base._id_map
 
-        seeds = np.unique(
-            np.asarray(base.seed_provider.acquire(query, counter), dtype=np.int64)
-        )
-        visited = np.zeros(graph.n, dtype=bool)
-        visited[seeds] = True
-        dists = counter.one_to_many(query, data[seeds])
-        candidates = [(float(d), int(s)) for d, s in zip(dists, seeds)]
-        heapq.heapify(candidates)
-        results: list[tuple[float, int]] = []  # max-heap of matching vertices
-        for d, s in zip(dists, seeds):
-            if predicate(self.attributes[int(s)]):
-                heapq.heappush(results, (-float(d), int(s)))
-        while len(results) > ef:
-            heapq.heappop(results)
+        def admit(ids: np.ndarray) -> np.ndarray:
+            original = ids if id_map is None else id_map[ids]
+            return np.fromiter(
+                (predicate(attributes[i]) for i in original.tolist()),
+                dtype=bool, count=len(ids),
+            )
 
-        hops = 0
-        while candidates and hops < max_hops:
-            dist, u = heapq.heappop(candidates)
-            # termination: frontier is worse than the worst *matching*
-            # result and we already have enough matches
-            if len(results) >= ef and dist > -results[0][0]:
-                break
-            hops += 1
-            nbrs = graph.neighbor_array(u)
-            nbrs = nbrs[~visited[nbrs]]
-            if len(nbrs) == 0:
-                continue
-            visited[nbrs] = True
-            true_d = counter.one_to_many(query, data[nbrs])
-            for idx, d in zip(nbrs, true_d):
-                idx, d = int(idx), float(d)
-                heapq.heappush(candidates, (d, idx))
-                if not predicate(self.attributes[idx]):
-                    continue
-                if len(results) < ef:
-                    heapq.heappush(results, (-d, idx))
-                elif d < -results[0][0]:
-                    heapq.heapreplace(results, (-d, idx))
-        ordered = sorted((-negd, idx) for negd, idx in results)[:k]
-        return SearchResult(
-            ids=np.asarray([i for _, i in ordered], dtype=np.int64),
-            dists=np.asarray([d for d, _ in ordered]),
-            ndc=counter.count - start_ndc,
-            hops=hops,
-            visited=int(visited.sum()),
-        )
+        tracker = BudgetTracker(QueryBudget(max_hops=max_hops), counter)
+        return base._hooked_answer(query, k, ef, counter, tracker=tracker,
+                                   admit=admit)

@@ -10,9 +10,11 @@ from-scratch equivalent:
   weights that make embedding distances rank like true distances (the
   big time bill);
 * **search** — the query is embedded once (``L`` true distances,
-  charged), then best-first search scores each expansion's neighbors by
-  weighted embedding distance *to the query* (no NDC) and evaluates
-  true distances only for the most promising fraction.
+  charged), then the index's own best-first walk (its seeds, its C7
+  route) runs with a neighbor selector in the slot after the guided
+  half-space test: it scores each expansion's unvisited neighbors by
+  weighted embedding distance *to the query* (no NDC), and true
+  distances are evaluated only for the most promising fraction.
 
 Same shape as the paper's finding: better NDC-vs-recall at the price of
 index-processing time and memory (Figure 9, Table 6).
@@ -20,7 +22,6 @@ index-processing time and memory (Figure 9, Table 6).
 
 from __future__ import annotations
 
-import heapq
 import time
 
 import numpy as np
@@ -118,59 +119,25 @@ class ML1LearnedRouting:
         ef = max(k, ef if ef is not None else base.default_ef)
         counter = counter if counter is not None else DistanceCounter()
         start_ndc = counter.count
-        graph, data = base.graph, base.data
-
         # embed the query: L true distance computations, charged
-        query_embedding = counter.one_to_many(query, data[self.landmarks])
-
-        seeds = np.asarray(
-            base.seed_provider.acquire(query, counter), dtype=np.int64
+        query_embedding = counter.one_to_many(
+            query, base.data[self.landmarks]
         )
-        seeds = np.unique(seeds)
-        visited = np.zeros(graph.n, dtype=bool)
-        visited[seeds] = True
-        dists = counter.one_to_many(query, data[seeds])
-        candidates = [(float(d), int(s)) for d, s in zip(dists, seeds)]
-        heapq.heapify(candidates)
-        results = [(-float(d), int(s)) for d, s in zip(dists, seeds)]
-        heapq.heapify(results)
-        while len(results) > ef:
-            heapq.heappop(results)
-        hops = 0
-        while candidates:
-            dist, u = heapq.heappop(candidates)
-            worst = -results[0][0] if len(results) == ef else np.inf
-            if dist > worst:
-                break
-            hops += 1
-            nbrs = graph.neighbor_array(u)
-            nbrs = nbrs[~visited[nbrs]]
+
+        def select(ctx, nbrs: np.ndarray) -> np.ndarray:
+            nbrs = nbrs[ctx.visit_gen[nbrs] != ctx.generation]
             if len(nbrs) == 0:
-                continue
+                return nbrs
             # score by embedding distance to the *query* (no NDC)
             scores = np.abs(self.embedding[nbrs] - query_embedding).dot(
                 self.weights
             )
             keep = max(1, int(np.ceil(len(nbrs) * self.keep_fraction)))
-            chosen = nbrs[np.argsort(scores, kind="stable")[:keep]]
-            visited[chosen] = True
-            true_d = counter.one_to_many(query, data[chosen])
-            for idx, d in zip(chosen, true_d):
-                d = float(d)
-                if len(results) < ef:
-                    heapq.heappush(results, (-d, int(idx)))
-                    heapq.heappush(candidates, (d, int(idx)))
-                elif d < -results[0][0]:
-                    heapq.heapreplace(results, (-d, int(idx)))
-                    heapq.heappush(candidates, (d, int(idx)))
-        ordered = sorted((-negd, idx) for negd, idx in results)[:k]
-        return SearchResult(
-            ids=np.asarray([i for _, i in ordered], dtype=np.int64),
-            dists=np.asarray([d for d, _ in ordered]),
-            ndc=counter.count - start_ndc,
-            hops=hops,
-            visited=int(visited.sum()),
-        )
+            return nbrs[np.argsort(scores, kind="stable")[:keep]]
+
+        result = base._hooked_answer(query, k, ef, counter, select=select)
+        result.ndc = counter.count - start_ndc
+        return result
 
 
 def raise_if_unfit(wrapper: ML1LearnedRouting) -> None:

@@ -14,11 +14,16 @@ expansions each actually needed before its top-k stopped changing.  At
 query time the budgeted search stops at the predicted expansion count —
 latency drops mostly in the easy-query tail, the modest high-recall
 gain the paper reports.
+
+Both run the index's own best-first walk (its seeds, its C7 route)
+under one :class:`~repro.resilience.BudgetTracker` subclass: before
+every hop it reads the result set off the frontier — the features once
+the warm-up is done, the last hop that changed the set — and at the
+warm-up it sets the learned hop cap for the rest of the same walk.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 
 import numpy as np
@@ -26,99 +31,67 @@ import numpy as np
 from repro.algorithms.base import GraphANNS
 from repro.components.routing import SearchResult
 from repro.distance import DistanceCounter
+from repro.resilience import BudgetTracker, QueryBudget
 
 __all__ = ["ML2EarlyTermination"]
 
 
-def _instrumented_search(
-    base: GraphANNS,
-    query: np.ndarray,
-    ef: int,
-    k: int,
-    counter: DistanceCounter,
-    warmup: int,
-    max_hops: int | None,
-    budget_from_features=None,
-) -> tuple[SearchResult, np.ndarray, int]:
-    """BFS that reports warm-up features and the stabilisation hop.
+class _StopHopTracker(BudgetTracker):
+    """The hop budget of one ML2 walk, learned mid-walk.
 
-    ``budget_from_features`` (if given) is called once with the warm-up
-    feature vector and returns the expansion budget for the remainder of
-    the same pass — the learned early termination itself.
+    ``results`` is the walk's result heap (negated squared distances).
+    :meth:`observe` runs before every hop: at hop 0 it records the best
+    seed distance, after ``warmup`` hops the best distance so far (and,
+    given ``predict``, the cap ``predict(features)`` with at least one
+    hop past the warm-up); any change of the result set during the hop
+    just done moves ``stop_hop``.  Stopping at the cap is the answer,
+    not a degradation, so ``fired`` stays None.
     """
-    graph, data = base.graph, base.data
-    seeds = np.unique(
-        np.asarray(base.seed_provider.acquire(query, counter), dtype=np.int64)
-    )
-    visited = np.zeros(graph.n, dtype=bool)
-    visited[seeds] = True
-    dists = counter.one_to_many(query, data[seeds])
-    candidates = [(float(d), int(s)) for d, s in zip(dists, seeds)]
-    heapq.heapify(candidates)
-    results = [(-float(d), int(s)) for d, s in zip(dists, seeds)]
-    heapq.heapify(results)
-    while len(results) > ef:
-        heapq.heappop(results)
 
-    seed_best = float(min(dists))
-    warmup_best = seed_best
-    hops = 0
-    last_update_hop = 0  # last hop at which the top-ef result set changed
-    best_so_far = seed_best
-    while candidates:
-        if max_hops is not None and hops >= max_hops:
-            break
-        dist, u = heapq.heappop(candidates)
-        worst = -results[0][0] if len(results) == ef else np.inf
-        if dist > worst:
-            break
-        hops += 1
-        nbrs = graph.neighbor_array(u)
-        nbrs = nbrs[~visited[nbrs]]
-        if len(nbrs) == 0:
-            continue
-        visited[nbrs] = True
-        true_d = counter.one_to_many(query, data[nbrs])
-        for idx, d in zip(nbrs, true_d):
-            d = float(d)
-            if d < best_so_far:
-                best_so_far = d
-            if len(results) < ef:
-                heapq.heappush(results, (-d, int(idx)))
-                heapq.heappush(candidates, (d, int(idx)))
-                last_update_hop = hops
-            elif d < -results[0][0]:
-                heapq.heapreplace(results, (-d, int(idx)))
-                heapq.heappush(candidates, (d, int(idx)))
-                last_update_hop = hops
-        if hops == warmup:
-            warmup_best = best_so_far
-            if budget_from_features is not None:
-                features = np.asarray(
-                    [
-                        1.0,
-                        seed_best,
-                        warmup_best,
-                        (seed_best - warmup_best) / max(seed_best, 1e-12),
-                    ]
-                )
-                max_hops = max(warmup + 1, int(budget_from_features(features)))
-    ordered = sorted((-negd, idx) for negd, idx in results)[:k]
-    result = SearchResult(
-        ids=np.asarray([i for _, i in ordered], dtype=np.int64),
-        dists=np.asarray([d for d, _ in ordered]),
-        hops=hops,
-        visited=int(visited.sum()),
-    )
-    features = np.asarray(
-        [
+    __slots__ = ("results", "warmup", "predict", "cap", "seed_best",
+                 "warmup_best", "stop_hop", "_state")
+
+    def __init__(self, counter, results, warmup, predict=None):
+        super().__init__(QueryBudget(), counter)
+        self.results = results
+        self.warmup = warmup
+        self.predict = predict
+        self.cap = None
+        self.seed_best = self.warmup_best = 0.0
+        self.stop_hop = 0     # last hop at which the top-ef set changed
+        self._state = None
+
+    def observe(self, hops: int) -> None:
+        results = self.results
+        # a push grows the heap and a replace evicts its root, so this
+        # pair changes exactly when the result set does
+        state = (len(results), results[0])
+        if hops == 0:
+            self.seed_best = self.warmup_best = self._best()
+        elif state != self._state:
+            self.stop_hop = hops
+        self._state = state
+        if hops == self.warmup:
+            self.warmup_best = self._best()
+            if self.predict is not None:
+                self.cap = max(self.warmup + 1,
+                               int(self.predict(self.features())))
+
+    def stop_before_hop(self, hops: int) -> bool:
+        self.observe(hops)
+        return self.cap is not None and hops >= self.cap
+
+    def _best(self) -> float:
+        return float(np.sqrt(-max(self.results)[0]))
+
+    def features(self) -> np.ndarray:
+        seed_best, warmup_best = self.seed_best, self.warmup_best
+        return np.asarray([
             1.0,
             seed_best,
             warmup_best,
             (seed_best - warmup_best) / max(seed_best, 1e-12),
-        ]
-    )
-    return result, features, last_update_hop
+        ])
 
 
 class ML2EarlyTermination:
@@ -134,6 +107,15 @@ class ML2EarlyTermination:
         self.safety_margin = 1.5
         self.preprocessing_time_s = 0.0
 
+    def _tracked_search(self, query, k, ef, counter, predict=None):
+        """One walk under a fresh stop-hop tracker: ``(result, tracker)``."""
+        base = self.base
+        tracker = _StopHopTracker(counter, base._context().results,
+                                  self.warmup_hops, predict)
+        result = base._hooked_answer(query, k, ef, counter, tracker=tracker)
+        tracker.observe(result.hops)   # the last hop's changes
+        return result, tracker
+
     def fit(
         self, train_queries: np.ndarray, ef: int = 80, k: int = 10
     ) -> "ML2EarlyTermination":
@@ -141,12 +123,9 @@ class ML2EarlyTermination:
         started = time.perf_counter()
         rows, targets = [], []
         for query in train_queries:
-            counter = DistanceCounter()
-            _, features, stop_hop = _instrumented_search(
-                self.base, query, ef, k, counter, self.warmup_hops, None
-            )
-            rows.append(features)
-            targets.append(stop_hop)
+            _, tracker = self._tracked_search(query, k, ef, DistanceCounter())
+            rows.append(tracker.features())
+            targets.append(tracker.stop_hop)
         design = np.asarray(rows)
         target = np.asarray(targets, dtype=np.float64)
         self.coefficients, *_ = np.linalg.lstsq(design, target, rcond=None)
@@ -170,15 +149,10 @@ class ML2EarlyTermination:
             raise RuntimeError("call fit() before searching with ML2")
         ef = max(k, ef if ef is not None else self.base.default_ef)
         counter = counter if counter is not None else DistanceCounter()
-        start_ndc = counter.count
 
-        def budget(features: np.ndarray) -> float:
+        def predict(features: np.ndarray) -> float:
             predicted = float(features @ self.coefficients)
             return np.ceil(predicted * self.safety_margin)
 
-        result, _, _ = _instrumented_search(
-            self.base, query, ef, k, counter, self.warmup_hops, None,
-            budget_from_features=budget,
-        )
-        result.ndc = counter.count - start_ndc
+        result, _ = self._tracked_search(query, k, ef, counter, predict)
         return result

@@ -82,6 +82,68 @@ class TestAttributeFilter:
         assert tight.hops >= loose.hops
 
 
+    def test_hop_cap_degrades(self, world):
+        ds, index, attributes = world
+        filtered = AttributeFilteredIndex(index, attributes)
+        cut = filtered.search(
+            ds.queries[4], lambda a: a["price"] < 3, k=10, ef=40, max_hops=10
+        )
+        assert cut.hops == 10
+        assert cut.degraded
+        assert cut.budget.limit == "hops"
+        loose = filtered.search(ds.queries[4], lambda a: True, k=10, ef=40)
+        assert not loose.degraded and loose.budget is None
+
+
+class TestFilterIndexState:
+    """Records are read and ids returned in original-id order, and
+    tombstoned vertices never come back."""
+
+    @pytest.fixture()
+    def reordered(self, world):
+        ds, _, attributes = world
+        index = create("nsg", seed=1)
+        index.build(ds.base)
+        index.reorder("bfs")
+        return ds, index, attributes
+
+    def test_unfiltered_matches_search(self, reordered):
+        ds, index, attributes = reordered
+        filtered = AttributeFilteredIndex(index, attributes)
+        for query in ds.queries[:5]:
+            plain = index.search(query, k=10, ef=40).ids
+            result = filtered.search(query, lambda a: True, k=10, ef=40)
+            assert len(set(plain.tolist()) & set(result.ids.tolist())) >= 9
+
+    def test_predicate_reads_original_records(self, reordered):
+        ds, index, attributes = reordered
+        filtered = AttributeFilteredIndex(index, attributes)
+        red_ids = np.asarray(
+            [i for i, a in enumerate(attributes) if a["color"] == "red"]
+        )
+        query = ds.queries[1]
+        truth, _ = brute_force_knn(ds.base[red_ids], query[None, :], 5)
+        result = filtered.search(
+            query, lambda a: a["color"] == "red", k=5, ef=80
+        )
+        for idx in result.ids:
+            assert attributes[int(idx)]["color"] == "red"
+        assert len(set(red_ids[truth[0]].tolist()) & set(result.ids.tolist())) >= 4
+
+    def test_deleted_ids_never_returned(self, world):
+        ds, _, attributes = world
+        index = create("nsg", seed=1)
+        index.build(ds.base)
+        filtered = AttributeFilteredIndex(index, attributes)
+        query = ds.queries[0]
+        nearest = index.search(query, k=10, ef=40).ids[:3]
+        for vertex in nearest.tolist():
+            index.delete(vertex)
+        result = filtered.search(query, lambda a: True, k=10, ef=40)
+        assert len(result.ids) == 10
+        assert not set(nearest.tolist()) & set(result.ids.tolist())
+
+
 class TestIOModel:
     def test_profiles_ordered_by_latency(self):
         assert StorageProfile.ram().read_latency_s < StorageProfile.ssd().read_latency_s

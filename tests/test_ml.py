@@ -17,6 +17,16 @@ def world():
     return ds, base
 
 
+@pytest.fixture(scope="module")
+def reordered():
+    """A BFS-reordered NSG: internal ids differ from the original ones."""
+    ds = make_clustered(16, 400, 4, 4.0, num_queries=20, gt_depth=10, seed=5)
+    base = create("nsg", seed=1)
+    base.build(ds.base)
+    base.reorder("bfs")
+    return ds, base
+
+
 def mean_recall_ndc(searcher, ds, k=10, ef=50):
     recalls, ndcs = [], []
     for i, query in enumerate(ds.queries):
@@ -78,10 +88,58 @@ class TestML2:
         assert np.mean(recalls) >= 0.9
         assert np.mean(hops) <= np.mean(base_hops)
 
+    def test_learned_cap_applies_when_warmup_hop_finds_nothing(self, world):
+        """The cap is set after hop ``warmup_hops`` even when that hop
+        evaluates no fresh neighbor: zero coefficients cap every walk
+        at ``warmup_hops + 1`` hops."""
+        ds, base = world
+        wrapper = ML2EarlyTermination(base, warmup_hops=20)
+        wrapper.coefficients = np.zeros(4)
+        for query in ds.queries:
+            assert wrapper.search(query, k=10, ef=50).hops <= 21
+
     def test_preprocessing_time_recorded(self, world):
         ds, base = world
         wrapper = ML2EarlyTermination(base).fit(ds.queries[:5], ef=40)
         assert wrapper.preprocessing_time_s > 0
+
+
+class TestIndexState:
+    """The wrappers walk the index as ``search()`` does: original ids
+    out, tombstones dropped."""
+
+    def test_ml1_answers_in_original_ids(self, reordered):
+        ds, base = reordered
+        wrapper = ML1LearnedRouting(base, epochs=3, seed=0).fit()
+        base_recall, _ = mean_recall_ndc(base, ds)
+        ml_recall, _ = mean_recall_ndc(wrapper, ds)
+        assert base_recall >= 0.9
+        assert ml_recall >= base_recall - 0.1
+
+    def test_ml2_answers_in_original_ids(self, reordered):
+        ds, base = reordered
+        wrapper = ML2EarlyTermination(base, seed=0).fit(ds.queries[:8], ef=50)
+        base_recall, _ = mean_recall_ndc(base, ds)
+        ml_recall, _ = mean_recall_ndc(wrapper, ds)
+        assert ml_recall >= base_recall - 0.1
+
+    @pytest.mark.parametrize("kind", ["ml1", "ml2"])
+    def test_deleted_ids_never_returned(self, kind):
+        ds = make_clustered(16, 400, 4, 4.0, num_queries=5, gt_depth=10,
+                            seed=5)
+        base = create("nsg", seed=1)
+        base.build(ds.base)
+        query = ds.queries[0]
+        nearest = base.search(query, k=10, ef=50).ids[:3]
+        for vertex in nearest.tolist():
+            base.delete(vertex)
+        if kind == "ml1":
+            wrapper = ML1LearnedRouting(base, epochs=3, seed=0).fit()
+        else:
+            wrapper = ML2EarlyTermination(base, seed=0).fit(ds.queries, ef=50)
+        result = wrapper.search(query, k=10, ef=50)
+        assert len(result.ids) == 10
+        assert not set(nearest.tolist()) & set(result.ids.tolist())
 
 
 class TestML3:

@@ -3,7 +3,8 @@ the native kernel disabled (``REPRO_NO_NATIVE=1``).
 
 The pure-NumPy path is the fallback every resilience feature leans on
 (worker-chunk retries, armed fault plans, kernels that fail to compile)
-and the walk of every non-plain C7 route, so it is exercised here as a
+and the walk of every non-plain C7 route and of the ML1/ML2/filter
+wrappers' hooks, so it is exercised here as a
 first-class configuration, not a fallback that only sees production
 traffic.
 """
@@ -32,6 +33,8 @@ DUAL_MODE_SUITES = [
     "tests/test_serving.py",
     "tests/test_search_hashes.py",
     "tests/test_native_binding.py",
+    "tests/test_ml.py",
+    "tests/test_extensions.py",
 ]
 
 
