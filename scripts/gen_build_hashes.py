@@ -1,8 +1,10 @@
 """Record pinned adjacency hashes for the build-determinism regression test.
 
-Builds every registry algorithm (plus the §5.4 framework default) on the
-small fixed synthetic dataset used by ``tests/test_build_engine.py`` and
-writes a ``{mode: {algorithm: {"adjacency": sha256, "ndc": int}}}`` map to
+Builds every registry algorithm, the §5.4 framework default
+(``framework``) and every framework C2 x C3 pairing (``framework[c2|c3]``,
+other components at their defaults) on the small fixed synthetic dataset
+used by ``tests/test_build_engine.py`` and writes a
+``{mode: {algorithm: {"adjacency": sha256, "ndc": int}}}`` map to
 ``tests/data/build_hashes.json``.  Run once per *reference* machine per
 mode::
 
@@ -31,7 +33,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import _native  # noqa: E402
 from repro.algorithms.registry import ALGORITHMS, create  # noqa: E402
-from repro.pipeline.framework import BenchmarkAlgorithm  # noqa: E402
+from repro.pipeline.framework import (  # noqa: E402
+    C2_CHOICES,
+    C3_CHOICES,
+    BenchmarkAlgorithm,
+)
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "build_hashes.json"
 
@@ -52,25 +58,32 @@ def adjacency_hash(graph) -> str:
     return digest.hexdigest()
 
 
+def framework_grid() -> dict[str, dict]:
+    """Every C2 x C3 pairing of the framework, other components default."""
+    return {
+        f"framework[{c2}|{c3}]": {"c2": c2, "c3": c3}
+        for c2 in C2_CHOICES for c3 in C3_CHOICES
+    }
+
+
 def build_all() -> dict[str, dict]:
     data = pinned_dataset()
+    builders = {name: (lambda name=name: create(name, seed=0))
+                for name in sorted(ALGORITHMS)}
+    builders["framework"] = lambda: BenchmarkAlgorithm(seed=0)
+    for key, choice in framework_grid().items():
+        builders[key] = lambda choice=choice: BenchmarkAlgorithm(
+            seed=0, **choice
+        )
     out: dict[str, dict] = {}
-    for name in sorted(ALGORITHMS):
-        algo = create(name, seed=0)
+    for name, make in builders.items():
+        algo = make()
         report = algo.build(data)
         out[name] = {
             "adjacency": adjacency_hash(algo.graph),
             "ndc": int(report.build_ndc),
         }
-        print(f"{name:12s} {out[name]['adjacency'][:16]} ndc={out[name]['ndc']}")
-    bench = BenchmarkAlgorithm(seed=0)
-    report = bench.build(data)
-    out["framework"] = {
-        "adjacency": adjacency_hash(bench.graph),
-        "ndc": int(report.build_ndc),
-    }
-    print(f"{'framework':12s} {out['framework']['adjacency'][:16]} "
-          f"ndc={out['framework']['ndc']}")
+        print(f"{name:24s} {out[name]['adjacency'][:16]} ndc={out[name]['ndc']}")
     return out
 
 

@@ -19,7 +19,7 @@ import pytest
 
 from repro import ALGORITHMS, create
 from repro import _native
-from repro.pipeline.framework import BenchmarkAlgorithm
+from repro.pipeline.framework import C2_CHOICES, C3_CHOICES, BenchmarkAlgorithm
 
 # must match scripts/gen_build_hashes.py
 DATASET_N, DATASET_D, DATASET_SEED = 300, 24, 7
@@ -31,7 +31,15 @@ MODE = "no_native" if _native.LIB is None else "native"
 PINNED = HASHES[MODE]
 
 ALL_NAMES = sorted(ALGORITHMS) + ["framework"]
-PARALLEL_NAMES = ["nsg", "hnsw", "vamana", "framework"]
+PARALLEL_NAMES = [
+    "nsg", "nssg", "dpg", "fanng", "oa", "sptag-bkt", "hnsw", "vamana",
+    "framework",
+]
+#: every C2 x C3 pairing of the framework, keyed as in build_hashes.json
+FRAMEWORK_GRID = {
+    f"framework[{c2}|{c3}]": {"c2": c2, "c3": c3}
+    for c2 in C2_CHOICES for c3 in C3_CHOICES
+}
 
 
 def make_algorithm(name: str, **kwargs):
@@ -73,6 +81,14 @@ class TestPinnedHashes:
             f"{name}: serial adjacency diverged from the pre-refactor pin"
         )
         assert int(report.build_ndc) == PINNED[name]["ndc"]
+
+
+    @pytest.mark.parametrize("key", sorted(FRAMEWORK_GRID))
+    def test_framework_grid_matches_pin(self, pinned_dataset, key):
+        algorithm = BenchmarkAlgorithm(seed=0, **FRAMEWORK_GRID[key])
+        report = algorithm.build(pinned_dataset)
+        assert adjacency_hash(algorithm.graph) == PINNED[key]["adjacency"]
+        assert int(report.build_ndc) == PINNED[key]["ndc"]
 
 
 class TestParallelDeterminism:
