@@ -7,6 +7,13 @@ second (QPS) are reported per algorithm and knob setting.
 
 Paper shapes: QPS falls as dimension/cardinality/SD rise for every
 algorithm; RNG-based algorithms widen their lead as cardinality grows.
+
+Each cell's QPS is the best of ``TIMED_PASSES`` ``evaluate`` passes over
+``NUM_QUERIES`` queries: one pass over a handful of queries lasts a few
+milliseconds on the fast algorithms, short enough for scheduler noise
+to reverse the d=8 / d=128 ordering.  The passes are interleaved across
+a sweep's three settings, so a slow stretch of the machine hits every
+setting of the sweep rather than one of them.
 """
 
 import pytest
@@ -16,6 +23,8 @@ from repro import create
 from repro.datasets import make_clustered
 
 ALGORITHMS = ("kgraph", "hnsw", "nsg", "hcnng", "nssg")
+NUM_QUERIES = 200
+TIMED_PASSES = 5
 
 SWEEPS = {
     "dim": [
@@ -47,18 +56,27 @@ _rows: dict[tuple[str, str, str], tuple] = {}
 @pytest.mark.parametrize("algorithm_name", ALGORITHMS)
 def test_scalability(benchmark, algorithm_name, knob):
     def sweep():
-        results = []
+        cells = []
         for label, params in SWEEPS[knob]:
             dataset = make_clustered(
-                **params, num_queries=20, gt_depth=20, seed=1, name=label
+                **params, num_queries=NUM_QUERIES, gt_depth=20, seed=1,
+                name=label,
             )
             index = create(algorithm_name, seed=0)
             index.build(dataset.base)
-            stats = index.evaluate(
-                dataset.queries, dataset.ground_truth, k=10, ef=60
-            )
-            results.append((label, index.build_report.build_time_s, stats))
-        return results
+            cells.append((label, index, dataset))
+        best = {}
+        for _ in range(TIMED_PASSES):
+            for label, index, dataset in cells:
+                stats = index.evaluate(
+                    dataset.queries, dataset.ground_truth, k=10, ef=60
+                )
+                if label not in best or stats.qps > best[label].qps:
+                    best[label] = stats
+        return [
+            (label, index.build_report.build_time_s, best[label])
+            for label, index, _ in cells
+        ]
 
     for label, build_s, stats in benchmark.pedantic(sweep, rounds=1, iterations=1):
         _rows[(algorithm_name, knob, label)] = (build_s, stats.qps, stats.recall)

@@ -11,12 +11,13 @@ mode::
     PYTHONPATH=src python scripts/gen_build_hashes.py
     REPRO_NO_NATIVE=1 PYTHONPATH=src python scripts/gen_build_hashes.py
 
-The hashes pin the construction output of the serial (``n_workers=1``)
-path: any refactor of the build layer must keep them stable at the same
-seed.  They are BLAS-rounding-sensitive, so they hold on machines whose
-NumPy produces bit-identical float32 matmuls (in practice: same NumPy
-wheel family); the cross-``n_workers`` equality tests are machine-
-independent and run everywhere.
+The hashes pin the construction output at ``n_workers=1`` (the test
+also checks that four workers give the same bits): any refactor of the
+build layer must keep them stable at the same seed.  They are
+BLAS-rounding-sensitive, so they hold on machines whose NumPy produces
+bit-identical float32 matmuls (in practice: same NumPy wheel family);
+the cross-``n_workers`` equality tests are machine-independent and run
+everywhere.
 """
 
 from __future__ import annotations

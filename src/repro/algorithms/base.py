@@ -232,8 +232,8 @@ class GraphANNS:
         and NDC to its C1–C5 label; a final epilogue (graph freeze +
         seed-provider preparation, i.e. the C4 entry structures) is
         charged to ``"c4"``.  ``n_workers`` (default: the constructor's
-        value) engages the deterministic chunked refinement engine —
-        the adjacency is bit-identical for every worker count.
+        value) sets the refinement loop's worker pool (one worker runs
+        inline) — the adjacency is bit-identical for every worker count.
         """
         if len(data) < 2:
             raise ValueError(f"cannot index fewer than 2 points, got {len(data)}")

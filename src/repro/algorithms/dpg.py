@@ -52,20 +52,13 @@ class DPG(GraphANNS):
             result = state["knn"]
             keep = max(1, self.k // 2)
             graph = Graph(len(data))
-            if bctx.parallel:
-                def refine_point(p, worker):
-                    return select_angle_sum(
-                        data[p], result.ids[p], result.dists[p], data, keep
-                    )
 
-                map_refine(bctx, len(data), refine_point,
-                           lambda p, sel: graph.set_neighbors(p, sel))
-            else:
-                for p in range(len(data)):
-                    selected = select_angle_sum(
-                        data[p], result.ids[p], result.dists[p], data, keep
-                    )
-                    graph.set_neighbors(p, selected)
+            def refine_point(p, worker):
+                return select_angle_sum(
+                    data[p], result.ids[p], result.dists[p], data, keep
+                )
+
+            map_refine(bctx, len(data), refine_point, graph.set_neighbors)
             state["graph"] = graph
 
         def undirect_phase():

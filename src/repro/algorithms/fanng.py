@@ -12,10 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import GraphANNS
-from repro.components.refinement import map_refine
-from repro.components.refinement import select_rng as fast_select_rng
+from repro.components.refinement import map_refine, select_rng
 from repro.components.routing import Route
-from repro.components.selection import select_rng_heuristic
 from repro.components.seeding import RandomSeeds
 from repro.graphs.graph import Graph
 from repro.graphs.knng import exact_knn_lists
@@ -57,22 +55,14 @@ class FANNG(GraphANNS):
         def prune_phase():
             ids, dists = state["ids"], state["dists"]
             graph = Graph(n)
-            if bctx.parallel:
-                def refine_point(p, worker):
-                    return fast_select_rng(
-                        data[p], ids[p], dists[p], data, self.max_degree,
-                        counter=worker.counter,
-                    )
 
-                map_refine(bctx, n, refine_point,
-                           lambda p, sel: graph.set_neighbors(p, sel))
-            else:
-                for p in range(n):
-                    selected = select_rng_heuristic(
-                        data[p], ids[p], dists[p], data, self.max_degree,
-                        counter=counter,
-                    )
-                    graph.set_neighbors(p, selected)
+            def refine_point(p, worker):
+                return select_rng(
+                    data[p], ids[p], dists[p], data, self.max_degree,
+                    counter=worker.counter,
+                )
+
+            map_refine(bctx, n, refine_point, graph.set_neighbors)
             self.graph = graph
 
         return [("c1", init_phase), ("c2+c3", prune_phase)]

@@ -13,14 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import GraphANNS
-from repro.components.candidates import candidates_by_search
 from repro.components.connectivity import ensure_reachable_from
 from repro.components.context import BuildContext
-from repro.components.refinement import map_refine, search_candidates
-from repro.components.refinement import select_rng as fast_select_rng
-from repro.components.selection import select_rng_heuristic
+from repro.components.refinement import (
+    map_refine,
+    search_candidates,
+    select_rng,
+)
 from repro.components.seeding import CentroidSeeds
-from repro.distance import DistanceCounter, l2_batch
 from repro.graphs.graph import Graph
 from repro.nndescent import nn_descent
 
@@ -70,38 +70,22 @@ class NSG(GraphANNS):
             init_graph = state["init_graph"]
             graph = Graph(n)
             entry = np.asarray([state["medoid"]], dtype=np.int64)
-            if bctx.parallel:
-                def refine_point(p, worker):
-                    found_ids, found_dists = search_candidates(
-                        worker, init_graph, data, p, self.candidate_ef, entry
-                    )
-                    pool = np.unique(np.concatenate([found_ids, init.ids[p]]))
-                    pool = pool[pool != p]
-                    pool_dists = worker.counter.one_to_many(data[p], data[pool])
-                    order = np.argsort(pool_dists, kind="stable")
-                    return fast_select_rng(
-                        data[p], pool[order], pool_dists[order], data,
-                        self.max_degree, counter=worker.counter,
-                    )
 
-                map_refine(bctx, n, refine_point,
-                           lambda p, selected: graph.set_neighbors(p, selected))
-            else:
-                for p in range(n):
-                    found_ids, found_dists = candidates_by_search(
-                        init_graph, data, p, self.candidate_ef, entry,
-                        counter=counter,
-                    )
-                    # NSG pools the search results with the point's KNN list
-                    pool = np.unique(np.concatenate([found_ids, init.ids[p]]))
-                    pool = pool[pool != p]
-                    pool_dists = counter.one_to_many(data[p], data[pool])
-                    order = np.argsort(pool_dists, kind="stable")
-                    selected = select_rng_heuristic(
-                        data[p], pool[order], pool_dists[order], data,
-                        self.max_degree, counter=counter,
-                    )
-                    graph.set_neighbors(p, selected)
+            def refine_point(p, worker):
+                found_ids, _ = search_candidates(
+                    worker, init_graph, data, p, self.candidate_ef, entry
+                )
+                # NSG pools the search results with the point's KNN list
+                pool = np.unique(np.concatenate([found_ids, init.ids[p]]))
+                pool = pool[pool != p]
+                pool_dists = worker.counter.one_to_many(data[p], data[pool])
+                order = np.argsort(pool_dists, kind="stable")
+                return select_rng(
+                    data[p], pool[order], pool_dists[order], data,
+                    self.max_degree, counter=worker.counter,
+                )
+
+            map_refine(bctx, n, refine_point, graph.set_neighbors)
             state["graph"] = graph
 
         def connect_phase():

@@ -61,30 +61,18 @@ class NSSG(GraphANNS):
         def refine_phase():
             init = state["init"]
             graph = Graph(n)
-            if bctx.parallel:
-                def refine_point(p, worker):
-                    cand_ids, cand_dists = candidates_by_expansion(
-                        init.ids, data, p, self.candidate_limit,
-                        counter=worker.counter,
-                    )
-                    return select_angle_threshold(
-                        data[p], cand_ids, cand_dists, data,
-                        self.max_degree, min_angle_deg=self.min_angle_deg,
-                    )
 
-                map_refine(bctx, n, refine_point,
-                           lambda p, sel: graph.set_neighbors(p, sel))
-            else:
-                for p in range(n):
-                    cand_ids, cand_dists = candidates_by_expansion(
-                        init.ids, data, p, self.candidate_limit,
-                        counter=counter,
-                    )
-                    selected = select_angle_threshold(
-                        data[p], cand_ids, cand_dists, data,
-                        self.max_degree, min_angle_deg=self.min_angle_deg,
-                    )
-                    graph.set_neighbors(p, selected)
+            def refine_point(p, worker):
+                cand_ids, cand_dists = candidates_by_expansion(
+                    init.ids, data, p, self.candidate_limit,
+                    counter=worker.counter,
+                )
+                return select_angle_threshold(
+                    data[p], cand_ids, cand_dists, data,
+                    self.max_degree, min_angle_deg=self.min_angle_deg,
+                )
+
+            map_refine(bctx, n, refine_point, graph.set_neighbors)
             state["graph"] = graph
 
         def connect_phase():

@@ -22,10 +22,8 @@ import numpy as np
 from repro.algorithms.base import GraphANNS
 from repro.components.candidates import candidates_by_expansion
 from repro.components.connectivity import ensure_reachable_from
-from repro.components.refinement import map_refine
-from repro.components.refinement import select_rng as fast_select_rng
+from repro.components.refinement import map_refine, select_rng
 from repro.components.routing import Route
-from repro.components.selection import select_rng_heuristic
 from repro.components.seeding import FixedSeeds
 from repro.graphs.graph import Graph
 from repro.nndescent import nn_descent
@@ -72,30 +70,18 @@ class OptimizedAlgorithm(GraphANNS):
         def refine_phase():
             init = state["init"]
             graph = Graph(n)
-            if bctx.parallel:
-                def refine_point(p, worker):
-                    cand_ids, cand_dists = candidates_by_expansion(
-                        init.ids, data, p, self.candidate_limit,
-                        counter=worker.counter,
-                    )
-                    return fast_select_rng(
-                        data[p], cand_ids, cand_dists, data, self.max_degree,
-                        counter=worker.counter,
-                    )
 
-                map_refine(bctx, n, refine_point,
-                           lambda p, sel: graph.set_neighbors(p, sel))
-            else:
-                for p in range(n):
-                    cand_ids, cand_dists = candidates_by_expansion(
-                        init.ids, data, p, self.candidate_limit,
-                        counter=counter,
-                    )
-                    selected = select_rng_heuristic(
-                        data[p], cand_ids, cand_dists, data, self.max_degree,
-                        counter=counter,
-                    )
-                    graph.set_neighbors(p, selected)
+            def refine_point(p, worker):
+                cand_ids, cand_dists = candidates_by_expansion(
+                    init.ids, data, p, self.candidate_limit,
+                    counter=worker.counter,
+                )
+                return select_rng(
+                    data[p], cand_ids, cand_dists, data, self.max_degree,
+                    counter=worker.counter,
+                )
+
+            map_refine(bctx, n, refine_point, graph.set_neighbors)
             state["graph"] = graph
 
         def entry_phase():

@@ -22,9 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import GraphANNS
-from repro.components.refinement import map_refine
-from repro.components.refinement import select_rng as fast_select_rng
-from repro.components.selection import select_rng_heuristic
+from repro.components.refinement import map_refine, select_rng
 from repro.components.seeding import KDTreeSeeds, KMeansTreeSeeds
 from repro.distance import DistanceCounter, pairwise_l2
 from repro.graphs.graph import Graph
@@ -175,22 +173,14 @@ class SPTAGBKT(_SPTAGBase):
                 self.graph = Graph(len(data), ids.tolist())
                 return
             graph = Graph(len(data))
-            if bctx.parallel:
-                def prune_point(p, worker):
-                    return fast_select_rng(
-                        data[p], ids[p], dists[p], data, self.k,
-                        counter=worker.counter,
-                    )
 
-                map_refine(bctx, len(data), prune_point,
-                           lambda p, sel: graph.set_neighbors(p, sel))
-            else:
-                for p in range(len(data)):
-                    selected = select_rng_heuristic(
-                        data[p], ids[p], dists[p], data, self.k,
-                        counter=counter,
-                    )
-                    graph.set_neighbors(p, selected)
+            def prune_point(p, worker):
+                return select_rng(
+                    data[p], ids[p], dists[p], data, self.k,
+                    counter=worker.counter,
+                )
+
+            map_refine(bctx, len(data), prune_point, graph.set_neighbors)
             self.graph = graph
 
         return [("c1", init_phase), ("c2+c3", refine_phase)]

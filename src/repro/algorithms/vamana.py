@@ -8,12 +8,11 @@ penalises).  Seeds: medoid; routing: best-first search.
 
 Vamana's refinement is *not* embarrassingly parallel — each point
 searches the graph as mutated by every previous point — so the build
-engine cannot chunk it.  Instead, ``n_workers > 1`` selects a
-sequential fast path that mirrors the evolving adjacency lists in a
-padded int32 matrix the native kernel can traverse directly
-(``best_first_build`` with per-row counts), with pruning in the C
-occlusion scan; every search and selection is bit-identical to the
-serial Python loop.
+engine cannot chunk it and ``n_workers`` has no effect.  With the
+native kernel the two passes mirror the evolving adjacency lists in a
+padded int32 matrix the kernel traverses directly
+(``best_first_build`` with per-row counts); without it they run over
+the ``Graph`` lists.  Both loops give bit-identical adjacency and NDC.
 """
 
 from __future__ import annotations
@@ -23,9 +22,10 @@ import numpy as np
 from repro.algorithms.base import GraphANNS
 from repro.components.candidates import candidates_by_search
 from repro.components.context import BuildContext
-from repro.components.refinement import search_candidates_padded
-from repro.components.refinement import select_rng as fast_select_rng
-from repro.components.selection import select_rng_heuristic
+from repro.components.refinement import (
+    search_candidates_padded,
+    select_rng,
+)
 from repro.components.seeding import CentroidSeeds
 from repro.graphs.graph import Graph
 
@@ -75,9 +75,12 @@ class Vamana(GraphANNS):
             medoid = state["medoid"]
             entry = np.asarray([medoid], dtype=np.int64)
             order = state["rng"].permutation(n)
-            if bctx.parallel and bctx.search_context().native:
+            if bctx.search_context().native:
                 self._refine_padded(data, bctx, graph, entry, order)
             else:
+                # the padded loop's search_candidates_padded calls
+                # _native.best_first_build directly, so without the
+                # kernel this Graph-list loop is the only path
                 for alpha in (1.0, self.alpha):  # two passes, per the paper
                     for p in order:
                         p = int(p)
@@ -85,7 +88,7 @@ class Vamana(GraphANNS):
                             graph, data, p, self.candidate_ef, entry,
                             counter=counter,
                         )
-                        selected = select_rng_heuristic(
+                        selected = select_rng(
                             data[p], cand_ids, cand_dists, data,
                             self.max_degree, counter=counter, alpha=alpha,
                         )
@@ -100,7 +103,7 @@ class Vamana(GraphANNS):
                                 arr = np.asarray(nbrs, dtype=np.int64)
                                 dists = counter.one_to_many(data[v], data[arr])
                                 srt = np.argsort(dists, kind="stable")
-                                pruned = select_rng_heuristic(
+                                pruned = select_rng(
                                     data[v], arr[srt], dists[srt], data,
                                     self.max_degree, counter=counter,
                                     alpha=alpha,
@@ -142,7 +145,7 @@ class Vamana(GraphANNS):
                     ctx, counter, offsets, flat, counts, data, p,
                     self.candidate_ef, entry,
                 )
-                selected = fast_select_rng(
+                selected = select_rng(
                     data[p], cand_ids, cand_dists, data,
                     self.max_degree, counter=counter, alpha=alpha,
                 )
@@ -158,7 +161,7 @@ class Vamana(GraphANNS):
                         arr = padded[v, : counts[v]].astype(np.int64)
                         dists = counter.one_to_many(data[v], data[arr])
                         srt = np.argsort(dists, kind="stable")
-                        pruned = fast_select_rng(
+                        pruned = select_rng(
                             data[v], arr[srt], dists[srt], data,
                             self.max_degree, counter=counter, alpha=alpha,
                         )

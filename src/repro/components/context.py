@@ -202,11 +202,6 @@ class BuildContext:
         self._ctx: SearchContext | None = None
         self._pool = None
 
-    @property
-    def parallel(self) -> bool:
-        """Whether the batched/parallel refinement engine is engaged."""
-        return self.n_workers > 1
-
     def search_context(self) -> SearchContext:
         """The build's reusable main-thread search context."""
         if self._ctx is None:
@@ -237,7 +232,13 @@ class BuildContext:
             obs.instruments().build_phase_seconds(label).observe(wall_s)
 
     def pool(self):
-        """The lazily-created refinement thread pool (n_workers wide)."""
+        """The lazily-created refinement thread pool (n_workers wide).
+
+        ``None`` at one worker: callers then run their chunks inline on
+        the calling thread.
+        """
+        if self.n_workers == 1:
+            return None
         from concurrent.futures import ThreadPoolExecutor
 
         if self._pool is None:

@@ -1,16 +1,16 @@
 """Deterministic chunked execution of the per-point refinement loop.
 
-Every incremental builder in the survey spends its time in the same
+Every refinement builder in the survey spends its time in the same
 shape of loop: for each point, acquire candidates (C2) over a frozen
 input graph, prune them (C3), and write the result row.  The iterations
 are independent — ParlayANN's observation that graph construction
-parallelizes batch-synchronously — so :func:`map_refine` runs them over
-chunks in the :class:`~repro.components.context.BuildContext` worker
-pool and applies the results **in ascending point order on the calling
-thread**.  Output is therefore a deterministic function of the seed
-regardless of worker count or scheduling; with ``n_workers=1`` the
-builders never call into this module and execute their original serial
-loops verbatim.
+parallelizes batch-synchronously — so :func:`map_refine` is the one
+C2+C3 loop every such builder runs, at every worker count.  With one
+worker it runs inline on the calling thread; with more it runs chunks
+in the :class:`~repro.components.context.BuildContext` worker pool.
+Either way the results are applied **in ascending point order on the
+calling thread**, so output is a deterministic function of the seed
+regardless of worker count or scheduling.
 
 The workers use two native fast paths (both bit-identical to the NumPy
 code they replace, see ``_native.py``):
@@ -21,11 +21,13 @@ code they replace, see ``_native.py``):
   NumPy-computed cross-distance matrix.
 
 When the compiled kernel is unavailable both fall back to the exact
-Python component functions, so ``REPRO_NO_NATIVE`` parallel builds still
-reproduce the serial adjacency bit-for-bit.
+Python component functions, so ``REPRO_NO_NATIVE`` builds reproduce the
+native adjacency bit-for-bit.
 """
 
 from __future__ import annotations
+
+import queue
 
 import numpy as np
 
@@ -54,7 +56,7 @@ class BuildWorker:
     Each worker owns a private :class:`SearchContext` (sharing the
     immutable norm cache) and a private :class:`DistanceCounter`;
     :func:`map_refine` merges the counters into the build's counter
-    after the loop so the total NDC matches the serial build exactly.
+    after the loop so the total NDC is the same at every worker count.
     """
 
     __slots__ = ("ctx", "counter")
@@ -64,40 +66,41 @@ class BuildWorker:
         self.counter = DistanceCounter()
 
 
-def map_refine(bctx: BuildContext, n_points: int, point_fn, apply_fn,
-               chunk_size: int = CHUNK_SIZE) -> None:
+def map_refine(bctx: BuildContext, n_points: int, point_fn,
+               apply_fn) -> None:
     """Run ``point_fn(p, worker)`` for every point, apply results in order.
 
     ``point_fn`` must be a pure function of its inputs (it may only
     read state frozen before the loop and the worker's scratch);
     ``apply_fn(p, result)`` runs on the calling thread in ascending
     ``p`` order and is the only place output state may be mutated.
+    At one worker the points run inline: no thread, no queue.
     """
-    workers: list[BuildWorker] = [
-        BuildWorker(bctx) for _ in range(bctx.n_workers)
-    ]
-    import queue
-
-    free: queue.Queue[BuildWorker] = queue.Queue()
-    for worker in workers:
-        free.put(worker)
-
-    def run_chunk(start: int, stop: int) -> list:
-        worker = free.get()
-        try:
-            return [point_fn(p, worker) for p in range(start, stop)]
-        finally:
+    workers = [BuildWorker(bctx) for _ in range(bctx.n_workers)]
+    pool = bctx.pool()
+    if pool is None:
+        for p in range(n_points):
+            apply_fn(p, point_fn(p, workers[0]))
+    else:
+        free: queue.Queue[BuildWorker] = queue.Queue()
+        for worker in workers:
             free.put(worker)
 
-    starts = range(0, n_points, chunk_size)
-    pool = bctx.pool()
-    futures = [
-        pool.submit(run_chunk, start, min(start + chunk_size, n_points))
-        for start in starts
-    ]
-    for start, future in zip(starts, futures):
-        for offset, result in enumerate(future.result()):
-            apply_fn(start + offset, result)
+        def run_chunk(start: int, stop: int) -> list:
+            worker = free.get()
+            try:
+                return [point_fn(p, worker) for p in range(start, stop)]
+            finally:
+                free.put(worker)
+
+        starts = range(0, n_points, CHUNK_SIZE)
+        futures = [
+            pool.submit(run_chunk, start, min(start + CHUNK_SIZE, n_points))
+            for start in starts
+        ]
+        for start, future in zip(starts, futures):
+            for offset, result in enumerate(future.result()):
+                apply_fn(start + offset, result)
     for worker in workers:
         bctx.counter.count += worker.counter.count
 

@@ -82,8 +82,8 @@ def nn_descent(
     Stops early when fewer than ``convergence_threshold * n * k``
     neighbor replacements happen in an iteration.
 
-    With a parallel :class:`~repro.components.context.BuildContext` the
-    Jacobi chunks of each iteration are evaluated in the build's worker
+    With a multi-worker :class:`~repro.components.context.BuildContext`
+    the Jacobi chunks of each iteration are evaluated in the build's worker
     pool; results are applied in chunk order, so the output matches the
     serial run bit-for-bit.  Sampling (``sample_rate < 1``) draws from
     the shared rng per chunk and therefore stays serial.
@@ -101,9 +101,7 @@ def nn_descent(
     # with sample_rate >= 1 the pool never exceeds max_pool, so the
     # chunk computation is rng-free and safe to fan out
     executor = (
-        bctx.pool()
-        if bctx is not None and bctx.parallel and sample_rate >= 1.0
-        else None
+        bctx.pool() if bctx is not None and sample_rate >= 1.0 else None
     )
 
     if initial_ids is None:

@@ -27,12 +27,15 @@ import numpy as np
 from repro.algorithms.base import GraphANNS
 from repro.components.candidates import (
     candidates_by_expansion,
-    candidates_by_search,
     candidates_direct,
 )
 from repro.components.connectivity import ensure_reachable_from
-from repro.components.refinement import map_refine, search_candidates
-from repro.components.refinement import select_rng as fast_select_rng
+from repro.components.refinement import (
+    BuildWorker,
+    map_refine,
+    search_candidates,
+    select_rng,
+)
 from repro.components.initialization import (
     kdtree_neighbor_lists,
     random_neighbor_lists,
@@ -50,7 +53,6 @@ from repro.components.selection import (
     select_angle_sum,
     select_angle_threshold,
     select_closest,
-    select_rng_heuristic,
 )
 from repro.distance import DistanceCounter
 from repro.graphs.graph import Graph
@@ -175,19 +177,19 @@ class BenchmarkAlgorithm(GraphANNS):
         init_dists: np.ndarray,
         init_graph: Graph,
         data: np.ndarray,
-        counter: DistanceCounter,
+        worker: BuildWorker,
         entry: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         if self.c2 == "dpg":
             return candidates_direct(init_ids, init_dists, point)
         if self.c2 == "nsw":
-            ids, dists = candidates_by_search(
-                init_graph, data, point, self.candidate_limit, entry,
-                counter=counter,
+            ids, dists = search_candidates(
+                worker, init_graph, data, point, self.candidate_limit, entry,
             )
             return ids[: self.candidate_limit], dists[: self.candidate_limit]
         return candidates_by_expansion(
-            init_ids, data, point, self.candidate_limit, counter=counter
+            init_ids, data, point, self.candidate_limit,
+            counter=worker.counter,
         )
 
     # -- C3 ---------------------------------------------------------------
@@ -212,7 +214,7 @@ class BenchmarkAlgorithm(GraphANNS):
                 min_angle_deg=self.min_angle_deg,
             )
         alpha = self.alpha if self.c3 == "vamana" else 1.0
-        return select_rng_heuristic(
+        return select_rng(
             data[point], cand_ids, cand_dists, data, self.max_degree,
             counter=counter, alpha=alpha,
         )
@@ -251,45 +253,18 @@ class BenchmarkAlgorithm(GraphANNS):
             entry = np.asarray([int(rng.integers(n))], dtype=np.int64)
             state["entry"] = entry
             graph = Graph(n)
-            if bctx.parallel:
-                fast_c3 = self.c3 in ("hnsw", "nsg", "vamana")
-                alpha = self.alpha if self.c3 == "vamana" else 1.0
 
-                def refine_point(p, worker):
-                    if self.c2 == "nsw":
-                        ids, dists = search_candidates(
-                            worker, init_graph, data, p,
-                            self.candidate_limit, entry,
-                        )
-                        cand_ids = ids[: self.candidate_limit]
-                        cand_dists = dists[: self.candidate_limit]
-                    else:
-                        cand_ids, cand_dists = self._candidates(
-                            p, init_ids, init_dists, init_graph, data,
-                            worker.counter, entry,
-                        )
-                    if fast_c3:
-                        return fast_select_rng(
-                            data[p], cand_ids, cand_dists, data,
-                            self.max_degree, counter=worker.counter,
-                            alpha=alpha,
-                        )
-                    return self._select(
-                        p, cand_ids, cand_dists, data, worker.counter
-                    )
-
-                map_refine(bctx, n, refine_point,
-                           lambda p, sel: graph.set_neighbors(p, sel))
-            else:
-                for p in range(n):
-                    cand_ids, cand_dists = self._candidates(
-                        p, init_ids, init_dists, init_graph, data, counter,
+            def refine_point(p, worker):
+                return self._select(
+                    p,
+                    *self._candidates(
+                        p, init_ids, init_dists, init_graph, data, worker,
                         entry,
-                    )
-                    selected = self._select(
-                        p, cand_ids, cand_dists, data, counter
-                    )
-                    graph.set_neighbors(p, selected)
+                    ),
+                    data, worker.counter,
+                )
+
+            map_refine(bctx, n, refine_point, graph.set_neighbors)
             state["graph"] = graph
 
         def connect_phase():

@@ -35,6 +35,7 @@ DUAL_MODE_SUITES = [
     "tests/test_native_binding.py",
     "tests/test_ml.py",
     "tests/test_extensions.py",
+    "tests/test_build_engine.py",
 ]
 
 
